@@ -94,8 +94,8 @@ experiments:
 
 # Sequential vs pooled solve timings plus a printed speedup report
 # (bit-identity is asserted separately by dcc-engine's property tests)
-# and the observability overhead gate (noop recorder within 2% of the
-# uninstrumented solve).
+# and the observability overhead gate (the pool-1 solve with a noop
+# recorder within 2% of a bare ContractBuilder loop).
 engine-bench:
 	cargo bench -p dcc-bench --bench engine
 
@@ -108,7 +108,7 @@ batch-bench:
 
 # Million-worker throughput of the columnar trace path: stream a
 # synthetic trace into a dcc-trace-col/1 buffer, solve one subproblem
-# per worker through the struct-of-arrays kernel in flat-memory chunks,
+# per worker with solve_subproblems in flat-memory chunks of 65,536,
 # and report workers/sec + peak RSS per scale (multiples of the paper's
 # ~19.7k-worker workload; 100x ~= 2M workers). Override the scales with
 # SCALE_BENCH_SCALES=10,100,500; set DCC_SCALE_BENCH_MIN_WPS to gate on

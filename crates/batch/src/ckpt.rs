@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use dcc_faults::Json;
+use dcc_faults::{save_bytes_atomic, Json};
 
 use crate::runner::ScenarioOutcome;
 use crate::supervisor::{FailureKind, ScenarioFailure};
@@ -415,9 +415,7 @@ impl CkptWriter {
     fn write(path: &Path, grid_fp: u64, total: usize, state: &mut WriterState) {
         state.pending = 0;
         let text = render_checkpoint(grid_fp, total, &state.entries);
-        let tmp = path.with_extension("tmp");
-        let result = std::fs::write(&tmp, text.as_bytes())
-            .and_then(|()| std::fs::rename(&tmp, path));
+        let result = save_bytes_atomic(path, text.as_bytes());
         if let (Err(e), None) = (result, &state.error) {
             state.error = Some(format!("cannot write checkpoint {}: {e}", path.display()));
         }
@@ -551,6 +549,37 @@ mod tests {
             parse_checkpoint(&std::fs::read_to_string(&path).unwrap(), 9, 4).unwrap();
         assert_eq!(loaded.len(), 2);
         assert!(writer.take_error().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_rename_reports_the_first_error_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("dcc-ckpt-rename-test-{}", std::process::id()));
+        // The checkpoint path is an existing directory, so the write to
+        // the sibling temp file succeeds and the rename onto it fails.
+        let path = dir.join("batch.ckpt");
+        std::fs::create_dir_all(&path).unwrap();
+        let writer = CkptWriter::new(&path, 1, 9, 4, BTreeMap::new());
+        let entry = || CkptEntry {
+            attempts: 1,
+            payload: CkptPayload::Summary(sample_summary(false)),
+        };
+        writer.record(0, entry());
+        writer.record(1, entry());
+        let err = writer.take_error().expect("the failed rename is reported");
+        assert!(
+            err.starts_with(&format!("cannot write checkpoint {}: ", path.display())),
+            "{err}"
+        );
+        assert!(
+            writer.take_error().is_none(),
+            "only the first error is kept"
+        );
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "the temp file is removed"
+        );
+        assert!(path.is_dir());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

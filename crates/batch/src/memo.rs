@@ -14,7 +14,7 @@
 //!   effort quantile, per-worker fit threshold) — deliberately *not*
 //!   μ, which only the solve stage consumes;
 //! - a **solve fingerprint** covers the full `DesignConfig` including
-//!   μ and the failure policy, but *not* `parallel` (the pool is
+//!   μ and the failure policy (the pool size lives outside it and is
 //!   bit-identity-neutral by the engine's own contract) — so a grid
 //!   that varies only the budget fraction or the strategy solves each
 //!   distinct design exactly once, and a warm rerun solves nothing.
@@ -275,16 +275,12 @@ pub(crate) fn fit_fingerprint(design: &dcc_core::DesignConfig) -> u64 {
 }
 
 /// Fingerprint of the solve-relevant design fields: the whole
-/// `DesignConfig` (a flat `Copy` struct, so its `Debug` form is total)
-/// with `parallel` normalized away — the engine guarantees the solve is
-/// bit-identical across pool sizes, so a pool toggle must not evict
-/// warm designs. μ and the failure policy *are* covered: they change
-/// the solved contracts.
+/// `DesignConfig` (a flat `Copy` struct, so its `Debug` form is total).
+/// μ and the failure policy *are* covered: they change the solved
+/// contracts.
 pub(crate) fn solve_fingerprint(design: &dcc_core::DesignConfig) -> u64 {
-    let mut normalized = *design;
-    normalized.parallel = false;
     let mut h = Fnv::new();
-    h.write_bytes(format!("{normalized:?}").as_bytes());
+    h.write_bytes(format!("{design:?}").as_bytes());
     h.finish()
 }
 
@@ -327,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_fingerprint_tracks_mu_but_not_parallelism() {
+    fn solve_fingerprint_tracks_mu_and_policy() {
         let base = dcc_core::DesignConfig::default();
         let mut mu = base;
         mu.params.mu = 0.25;
@@ -335,9 +331,6 @@ mod tests {
         let mut policy = base;
         policy.failure_policy = dcc_core::FailurePolicy::Skip;
         assert_ne!(solve_fingerprint(&base), solve_fingerprint(&policy));
-        let mut parallel = base;
-        parallel.parallel = !base.parallel;
-        assert_eq!(solve_fingerprint(&base), solve_fingerprint(&parallel));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! from an atomic work queue; results land in per-index slots and are
 //! merged back **in input order**, so the report (and the redacted
 //! metrics document) is bit-identical for every pool size — the same
-//! contract `solve_subproblems_pooled` gives the solve stage, lifted to
+//! contract `solve_subproblems` gives the solve stage, lifted to
 //! whole scenarios.
 //!
 //! Cross-scenario reuse goes through the shared [`StageMemo`]: each

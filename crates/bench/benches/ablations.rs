@@ -5,7 +5,8 @@
 //!   motivation for decomposition is that the joint problem is
 //!   intractable; this measures the gap at a size where the joint search
 //!   is still feasible.
-//! - **parallel**: crossbeam-parallel vs serial subproblem solving.
+//! - **parallel**: pooled (`std::thread::scope`, one thread per
+//!   available core) vs serial subproblem solving.
 //! - **m_sweep**: the cost of finer effort discretizations.
 
 // Benchmark harnesses are measurement code, not library surface;
@@ -14,9 +15,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcc_core::{
-    solve_subproblems, ContractBuilder, Discretization, ModelParams, Subproblem,
+    solve_subproblems, BipSolution, ContractBuilder, Discretization, FailurePolicy, ModelParams,
+    Subproblem,
 };
 use dcc_numerics::Quadratic;
+use dcc_obs::Metrics;
 use std::hint::black_box;
 
 fn subproblems(n: usize, m: usize) -> Vec<Subproblem> {
@@ -40,15 +43,22 @@ fn params() -> ModelParams {
     }
 }
 
+fn solve(sps: &[Subproblem], pool: usize) -> BipSolution {
+    solve_subproblems(sps, &params(), pool, FailurePolicy::Abort, &Metrics::noop())
+        .expect("solve")
+        .0
+}
+
 fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_parallel");
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     for n in [64usize, 512, 4096] {
         let sps = subproblems(n, 20);
         group.bench_with_input(BenchmarkId::new("serial", n), &sps, |b, sps| {
-            b.iter(|| solve_subproblems(black_box(sps), &params(), false).expect("solve"));
+            b.iter(|| solve(black_box(sps), 1));
         });
         group.bench_with_input(BenchmarkId::new("parallel", n), &sps, |b, sps| {
-            b.iter(|| solve_subproblems(black_box(sps), &params(), true).expect("solve"));
+            b.iter(|| solve(black_box(sps), host));
         });
     }
     group.finish();
@@ -82,7 +92,7 @@ fn bench_decompose(c: &mut Criterion) {
     let n = 64;
     let sps = subproblems(n, 20);
     group.bench_function("decomposed_64", |b| {
-        b.iter(|| solve_subproblems(black_box(&sps), &params(), false).expect("solve"));
+        b.iter(|| solve(black_box(&sps), 1));
     });
     group.bench_function("joint_grid_64", |b| {
         let psi = Quadratic::new(-0.15, 2.5, 1.0);

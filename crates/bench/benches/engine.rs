@@ -14,8 +14,8 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dcc_core::{
-    solve_subproblems_pooled, solve_subproblems_recorded, DesignConfig, FailurePolicy,
-    ModelParams, Subproblem,
+    solve_subproblems, BuiltContract, ContractBuilder, DesignConfig, FailurePolicy, ModelParams,
+    Subproblem,
 };
 use dcc_engine::{Engine, EngineConfig, RoundContext, StageKind};
 use dcc_numerics::Quadratic;
@@ -71,6 +71,28 @@ fn params() -> ModelParams {
     design_config().params
 }
 
+/// Unrecorded solve at `pool` under `FailurePolicy::Abort`.
+fn solve(sps: &[Subproblem], params: &ModelParams, pool: usize) -> dcc_core::BipSolution {
+    solve_subproblems(sps, params, pool, FailurePolicy::Abort, &Metrics::noop())
+        .expect("solve")
+        .0
+}
+
+/// The bare §IV-C builder chain over every subproblem, with no fan-out,
+/// no result assembly and no recorder: the floor the overhead gate
+/// measures `solve_subproblems` against.
+fn bare_builder_loop(sps: &[Subproblem], params: &ModelParams) -> Vec<BuiltContract> {
+    sps.iter()
+        .map(|sp| {
+            ContractBuilder::new(*params, sp.disc, sp.psi)
+                .malicious(sp.omega)
+                .weight(sp.weight)
+                .build()
+                .expect("build")
+        })
+        .collect()
+}
+
 fn bench_pooled_solve(c: &mut Criterion) {
     let trace = trace();
     let ctx = prepared_context(&trace);
@@ -81,10 +103,7 @@ fn bench_pooled_solve(c: &mut Criterion) {
     group.sample_size(10);
     for pool in POOLS {
         group.bench_with_input(BenchmarkId::new("pool", pool), &pool, |b, &pool| {
-            b.iter(|| {
-                solve_subproblems_pooled(black_box(&sps), &params, pool, FailurePolicy::Abort)
-                    .expect("solve")
-            });
+            b.iter(|| solve(black_box(&sps), &params, pool));
         });
     }
     group.finish();
@@ -98,15 +117,7 @@ fn bench_pooled_solve(c: &mut Criterion) {
                 BenchmarkId::new(format!("n{n}_pool"), pool),
                 &pool,
                 |b, &pool| {
-                    b.iter(|| {
-                        solve_subproblems_pooled(
-                            black_box(&sps),
-                            &params,
-                            pool,
-                            FailurePolicy::Abort,
-                        )
-                        .expect("solve")
-                    });
+                    b.iter(|| solve(black_box(&sps), &params, pool));
                 },
             );
         }
@@ -157,36 +168,17 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let params = params();
     let mut group = c.benchmark_group("engine_obs");
     group.sample_size(10);
-    group.bench_function("solve_plain", |b| {
-        b.iter(|| {
-            solve_subproblems_pooled(black_box(&sps), &params, 4, FailurePolicy::Abort)
-                .expect("solve")
-        });
+    group.bench_function("bare_builder_loop", |b| {
+        b.iter(|| bare_builder_loop(black_box(&sps), &params));
     });
     group.bench_function("solve_noop_recorder", |b| {
-        let metrics = Metrics::noop();
-        b.iter(|| {
-            solve_subproblems_recorded(
-                black_box(&sps),
-                &params,
-                4,
-                FailurePolicy::Abort,
-                &metrics,
-            )
-            .expect("solve")
-        });
+        b.iter(|| solve(black_box(&sps), &params, 1));
     });
     group.bench_function("solve_json_recorder", |b| {
         b.iter(|| {
             let metrics = Metrics::new(Arc::new(JsonRecorder::new()));
-            solve_subproblems_recorded(
-                black_box(&sps),
-                &params,
-                4,
-                FailurePolicy::Abort,
-                &metrics,
-            )
-            .expect("solve")
+            solve_subproblems(black_box(&sps), &params, 1, FailurePolicy::Abort, &metrics)
+                .expect("solve")
         });
     });
     group.finish();
@@ -218,28 +210,20 @@ fn speedup_report() {
     println!("\n== pooled solve speedup (2048 subproblems, m=80, {host} CPU(s) visible) ==");
 
     let seq = best_secs(3, || {
-        black_box(
-            solve_subproblems_pooled(&sps, &params, 1, FailurePolicy::Abort).expect("solve"),
-        );
+        black_box(solve(&sps, &params, 1));
     });
-    let reference =
-        solve_subproblems_pooled(&sps, &params, 1, FailurePolicy::Abort).expect("solve");
+    let reference = solve(&sps, &params, 1);
     println!("pool=1 (sequential): {:.3}s", seq);
 
     for pool in [4usize, 16] {
         let pooled = best_secs(3, || {
-            black_box(
-                solve_subproblems_pooled(&sps, &params, pool, FailurePolicy::Abort)
-                    .expect("solve"),
-            );
+            black_box(solve(&sps, &params, pool));
         });
-        let out = solve_subproblems_pooled(&sps, &params, pool, FailurePolicy::Abort)
-            .expect("solve");
+        let out = solve(&sps, &params, pool);
         let identical = out
-            .0
             .solutions
             .iter()
-            .zip(&reference.0.solutions)
+            .zip(&reference.solutions)
             .all(|(a, b)| {
                 a.built.requester_utility().to_bits() == b.built.requester_utility().to_bits()
             });
@@ -254,46 +238,41 @@ fn speedup_report() {
     }
 }
 
-/// The disabled-recorder overhead gate: `solve_subproblems_recorded`
-/// with a `NoopRecorder` must cost the same as the uninstrumented solve
-/// (it branches once on `Metrics::enabled` and delegates), so any
-/// regression beyond noise means instrumentation leaked into the hot
-/// path. Panics — and thereby fails `make engine-bench` — above 2%.
+/// The disabled-recorder overhead gate: `solve_subproblems` with a
+/// `NoopRecorder` at pool 1 must cost the same as a bare loop of the
+/// same `ContractBuilder` chain (it branches once on `Metrics::enabled`,
+/// and at pool 1 the fan-out runs on the calling thread), so any
+/// regression beyond noise means instrumentation or fan-out overhead
+/// leaked into the hot path. Panics — and thereby fails
+/// `make engine-bench` — above 2%.
 fn obs_overhead_report() {
     let sps = synthetic_subproblems(2048, 80);
     let params = params();
-    println!("\n== observability overhead (2048 subproblems, m=80, pool=4) ==");
+    println!("\n== observability overhead (2048 subproblems, m=80, pool=1) ==");
 
-    let plain = best_secs(5, || {
-        black_box(
-            solve_subproblems_pooled(&sps, &params, 4, FailurePolicy::Abort).expect("solve"),
-        );
+    let bare = best_secs(5, || {
+        black_box(bare_builder_loop(&sps, &params));
     });
-    let noop = Metrics::noop();
     let with_noop = best_secs(5, || {
-        black_box(
-            solve_subproblems_recorded(&sps, &params, 4, FailurePolicy::Abort, &noop)
-                .expect("solve"),
-        );
+        black_box(solve(&sps, &params, 1));
     });
     let with_json = best_secs(5, || {
         let metrics = Metrics::new(Arc::new(JsonRecorder::new()));
         black_box(
-            solve_subproblems_recorded(&sps, &params, 4, FailurePolicy::Abort, &metrics)
-                .expect("solve"),
+            solve_subproblems(&sps, &params, 1, FailurePolicy::Abort, &metrics).expect("solve"),
         );
     });
 
-    let overhead_pct = 100.0 * (with_noop / plain - 1.0);
-    println!("plain solve:          {plain:.3}s");
-    println!("noop recorder:        {with_noop:.3}s ({overhead_pct:+.2}% vs plain)");
+    let overhead_pct = 100.0 * (with_noop / bare - 1.0);
+    println!("bare builder loop:    {bare:.3}s");
+    println!("noop recorder:        {with_noop:.3}s ({overhead_pct:+.2}% vs bare)");
     println!(
-        "json recorder:        {with_json:.3}s ({:+.2}% vs plain)",
-        100.0 * (with_json / plain - 1.0)
+        "json recorder:        {with_json:.3}s ({:+.2}% vs bare)",
+        100.0 * (with_json / bare - 1.0)
     );
     assert!(
         overhead_pct < 2.0,
-        "disabled recorder must stay within 2% of the plain solve, measured {overhead_pct:+.2}%"
+        "disabled recorder must stay within 2% of the bare builder loop, measured {overhead_pct:+.2}%"
     );
     println!("noop overhead within the 2% budget");
 }

@@ -8,9 +8,8 @@
 //!    materialized),
 //! 2. builds per-worker §IV-B subproblems directly from the column view
 //!    (ground-truth classes; detection cost is not what this measures),
-//!    and solves them through the struct-of-arrays kernel in fixed-size
-//!    chunks so memory stays flat while utilities accumulate in input
-//!    order,
+//!    and solves them with `solve_subproblems` in fixed-size chunks so
+//!    memory stays flat while utilities accumulate in input order,
 //! 3. reports workers/sec for both phases plus peak RSS (`VmHWM`).
 //!
 //! Knobs (also used by CI):
@@ -24,15 +23,14 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 #![allow(clippy::cast_precision_loss)]
 
-use dcc_core::{
-    solve_subproblems_columns, Discretization, FailurePolicy, ModelParams, SubproblemColumns,
-};
+use dcc_core::{solve_subproblems, Discretization, FailurePolicy, ModelParams, Subproblem};
 use dcc_numerics::Quadratic;
+use dcc_obs::Metrics;
 use dcc_trace::SyntheticConfig;
 use std::time::Instant;
 
 /// Subproblems per solve chunk: large enough to amortize dispatch,
-/// small enough that the transient `SubproblemColumns` stays in cache
+/// small enough that the transient `Vec<Subproblem>` stays in cache
 /// territory and memory stays flat at 10M workers.
 const CHUNK: usize = 65_536;
 
@@ -79,17 +77,23 @@ fn run_scale(scale: usize, pool: usize) -> f64 {
     let mut start = 0usize;
     while start < workers {
         let end = (start + CHUNK).min(workers);
-        let mut sub = SubproblemColumns::with_capacity(end - start, end - start);
-        for i in start..end {
-            // Ground-truth class straight from the borrowed column:
-            // 0 = honest, otherwise malicious (ω-constrained).
-            let malicious = columns.reviewer_class.get(i).copied().unwrap_or(0) != 0;
-            let omega = if malicious { 0.5 } else { 0.0 };
-            let weight = 0.3 + (i % 7) as f64 * 0.5;
-            sub.push(i, [i], omega, weight, psi, disc);
-        }
+        let sub: Vec<Subproblem> = (start..end)
+            .map(|i| {
+                // Ground-truth class straight from the borrowed column:
+                // 0 = honest, otherwise malicious (ω-constrained).
+                let malicious = columns.reviewer_class.get(i).copied().unwrap_or(0) != 0;
+                Subproblem {
+                    id: i,
+                    members: vec![i],
+                    omega: if malicious { 0.5 } else { 0.0 },
+                    weight: 0.3 + (i % 7) as f64 * 0.5,
+                    psi,
+                    disc,
+                }
+            })
+            .collect();
         let (solution, _) =
-            solve_subproblems_columns(sub.view(), &params, pool, FailurePolicy::Abort)
+            solve_subproblems(&sub, &params, pool, FailurePolicy::Abort, &Metrics::noop())
                 .expect("solve");
         // Fixed-order accumulation; the solutions are dropped per chunk.
         for s in &solution.solutions {

@@ -138,7 +138,6 @@ fn design_config(args: &ParsedArgs) -> Result<DesignConfig, CliError> {
         },
         intervals: args.num_flag("intervals", 20)?,
         effort_quantile: 95.0,
-        parallel: !args.bool_flag("serial"),
         per_worker_fit_min_reviews: if args.flags.contains_key("per-worker") {
             Some(args.num_flag("per-worker", 20)?)
         } else {

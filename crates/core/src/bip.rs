@@ -146,110 +146,49 @@ impl BipSolution {
 ///
 /// The subproblems are independent by construction — the requester's
 /// objective separates across non-collusive workers and communities — so
-/// with `parallel = true` they are solved on scoped threads
-/// (`std::thread::scope`), one chunk per available core.
-///
-/// Equivalent to [`solve_subproblems_with`] under
-/// [`FailurePolicy::Abort`].
-///
-/// # Errors
-///
-/// Propagates the first per-subproblem error (invalid ψ, parameters, …),
-/// identified by the subproblem id in the message.
-pub fn solve_subproblems(
-    subproblems: &[Subproblem],
-    params: &ModelParams,
-    parallel: bool,
-) -> Result<BipSolution, CoreError> {
-    solve_subproblems_with(subproblems, params, parallel, FailurePolicy::Abort)
-        .map(|(solution, _)| solution)
-}
-
-/// [`solve_subproblems`] with a [`FailurePolicy`] deciding what happens
-/// when an individual subproblem cannot be designed: abort everything,
-/// fall back to a fixed-payment baseline for that worker, or exclude the
-/// worker. Degradations are itemized in the returned
-/// [`DegradationReport`] (empty when every subproblem solved optimally).
-///
-/// `parallel = true` resolves the pool size from
-/// [`std::thread::available_parallelism`]; use
-/// [`solve_subproblems_pooled`] to pin an exact worker count.
-///
-/// # Errors
-///
-/// Under [`FailurePolicy::Abort`], the first per-subproblem error in
-/// input order; under the other policies, solver errors are absorbed
-/// into the report and only panics in the worker threads propagate.
-pub fn solve_subproblems_with(
-    subproblems: &[Subproblem],
-    params: &ModelParams,
-    parallel: bool,
-    policy: FailurePolicy,
-) -> Result<(BipSolution, DegradationReport), CoreError> {
-    let pool = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        1
-    };
-    solve_subproblems_pooled(subproblems, params, pool, policy)
-}
-
-/// [`solve_subproblems_with`] with an explicit worker-pool size.
-///
-/// The §IV-B decomposition makes subproblems independent, so they are
-/// fanned out across `pool` scoped threads (`std::thread::scope`), each
-/// taking one contiguous chunk of the input. The merge order is
+/// they are fanned out across `pool` scoped threads (`std::thread::scope`),
+/// each taking one contiguous chunk of the input. The merge order is
 /// deterministic — chunk results are concatenated in input order and
 /// re-zipped with the subproblems — so the output is **bit-identical**
 /// to the sequential path (`pool = 1`) for every pool size: each
 /// subproblem's arithmetic is self-contained and no reduction reorders
-/// floating-point operations.
+/// floating-point operations. `pool` is clamped to
+/// `[1, subproblems.len()]`; `pool <= 1` solves on the calling thread
+/// without spawning.
 ///
-/// `pool` is clamped to `[1, subproblems.len()]`; `pool <= 1` solves on
-/// the calling thread without spawning.
+/// `policy` decides what happens when an individual subproblem cannot be
+/// designed: abort everything, fall back to a fixed-payment baseline for
+/// that worker, or exclude the worker. Degradations are itemized in the
+/// returned [`DegradationReport`] (empty when every subproblem solved
+/// optimally).
 ///
-/// # Errors
-///
-/// Same as [`solve_subproblems_with`].
-pub fn solve_subproblems_pooled(
-    subproblems: &[Subproblem],
-    params: &ModelParams,
-    pool: usize,
-    policy: FailurePolicy,
-) -> Result<(BipSolution, DegradationReport), CoreError> {
-    let workers = clamp_pool(pool, subproblems.len());
-    let results = fan_out(subproblems, workers, |sp| solve_one(sp, params));
-    assemble_solutions(subproblems, results, params, policy)
-}
-
-/// [`solve_subproblems_pooled`] with per-subproblem observability: solve
-/// wall-clock time, candidate-evaluation counts, and degradation events
-/// flow into `metrics` (see `dcc_obs::names`).
-///
-/// Determinism is preserved under threading by construction — worker
+/// Per-subproblem solve time, candidate-evaluation counts and
+/// degradation events flow into `metrics` (see `dcc_obs::names`). Worker
 /// threads only *measure*; all recording happens post-merge on the
 /// calling thread, in input order, so the metric stream is identical for
-/// every pool size. When `metrics` is disabled this delegates to the
-/// uninstrumented path (no clock reads, no attribute construction), so
-/// the hot path stays zero-cost with a `NoopRecorder`.
+/// every pool size. When `metrics` is disabled the solve takes a branch
+/// with no clock reads and no attribute construction, so the hot path
+/// stays zero-cost with a `NoopRecorder`.
 ///
 /// # Errors
 ///
-/// Same as [`solve_subproblems_pooled`]. Under [`FailurePolicy::Abort`]
-/// a failing solve records nothing.
-pub fn solve_subproblems_recorded(
+/// Under [`FailurePolicy::Abort`], the first per-subproblem error in
+/// input order (invalid ψ, parameters, …, identified by the subproblem id
+/// in the message), and nothing is recorded; under the other policies,
+/// solver errors are absorbed into the report and only panics in the
+/// worker threads propagate.
+pub fn solve_subproblems(
     subproblems: &[Subproblem],
     params: &ModelParams,
     pool: usize,
     policy: FailurePolicy,
     metrics: &Metrics,
 ) -> Result<(BipSolution, DegradationReport), CoreError> {
-    if !metrics.enabled() {
-        return solve_subproblems_pooled(subproblems, params, pool, policy);
-    }
     let workers = clamp_pool(pool, subproblems.len());
+    if !metrics.enabled() {
+        let results = fan_out(subproblems, workers, |sp| solve_one(sp, params));
+        return assemble_solutions(subproblems, results, params, policy);
+    }
     let timed = fan_out(subproblems, workers, |sp| {
         // dcc-lint: allow(wall-clock, reason = "per-subproblem timing fed to metrics.span_at below")
         let start = Instant::now();
@@ -294,19 +233,21 @@ fn solve_one(sp: &Subproblem, params: &ModelParams) -> Result<SubproblemSolution
         .map_err(|e| CoreError::InvalidInput(format!("subproblem {} failed: {e}", sp.id)))?;
     Ok(SubproblemSolution {
         id: sp.id,
+        // dcc-lint: allow(hot-loop-alloc, reason = "the solution owns its member list; singleton for individual workers")
         members: sp.members.clone(),
         built,
     })
 }
 
 /// `pool` clamped to `[1, n]` (with `n = 0` treated as 1).
-pub(crate) fn clamp_pool(pool: usize, n: usize) -> usize {
+fn clamp_pool(pool: usize, n: usize) -> usize {
     pool.max(1).min(n.max(1))
 }
 
 /// The deterministic chunked fan-out shared by the plain and recorded
-/// solves: `workers` scoped threads each take one contiguous chunk and
-/// the per-chunk outputs are concatenated back in input order.
+/// branches of [`solve_subproblems`]: `workers` scoped threads each take
+/// one contiguous chunk and the per-chunk outputs are concatenated back
+/// in input order.
 fn fan_out<T, F>(subproblems: &[Subproblem], workers: usize, per_item: F) -> Vec<T>
 where
     T: Send,
@@ -332,7 +273,7 @@ where
 
 /// Attempt count a solver error carries: a retried-then-degraded error
 /// knows how many tries were made; everything else failed on its first.
-pub(crate) fn attempts_of(err: &CoreError) -> usize {
+fn attempts_of(err: &CoreError) -> usize {
     match err {
         CoreError::Degraded { attempts, .. } => (*attempts).max(1),
         _ => 1,
@@ -359,6 +300,7 @@ fn assemble_solutions(
                     let (solution, paid) = fallback_solution(sp, params, amount);
                     report.degraded.push(DegradedSubproblem {
                         subproblem: sp.id,
+                        // dcc-lint: allow(hot-loop-alloc, reason = "cold degraded path; the report owns its member list")
                         members: sp.members.clone(),
                         reason: err.to_string(),
                         attempts: attempts_of(&err),
@@ -371,6 +313,7 @@ fn assemble_solutions(
                     let solution = skip_solution(sp);
                     report.degraded.push(DegradedSubproblem {
                         subproblem: sp.id,
+                        // dcc-lint: allow(hot-loop-alloc, reason = "cold degraded path; the report owns its member list")
                         members: sp.members.clone(),
                         reason: err.to_string(),
                         attempts: attempts_of(&err),
@@ -416,7 +359,7 @@ fn feedback_domain(sp: &Subproblem) -> (f64, f64) {
 /// worker with no marginal incentive best-responds with zero effort, so
 /// the requester books `w·ψ(0) − μ·amount` (with non-finite `w` or ψ(0)
 /// conservatively treated as 0).
-pub(crate) fn fallback_solution(
+fn fallback_solution(
     sp: &Subproblem,
     params: &ModelParams,
     amount: f64,
@@ -453,6 +396,7 @@ pub(crate) fn fallback_solution(
     (
         SubproblemSolution {
             id: sp.id,
+            // dcc-lint: allow(hot-loop-alloc, reason = "cold degraded path; the fallback solution owns its member list")
             members: sp.members.clone(),
             built: BuiltContract::degraded(contract, response, requester_utility, weight),
         },
@@ -462,7 +406,7 @@ pub(crate) fn fallback_solution(
 
 /// Builds the exclusion (zero-contract) substitute for a failed
 /// subproblem: the worker is out of the system — no pay, no benefit.
-pub(crate) fn skip_solution(sp: &Subproblem) -> SubproblemSolution {
+fn skip_solution(sp: &Subproblem) -> SubproblemSolution {
     let (d_lo, d_hi) = feedback_domain(sp);
     #[allow(clippy::expect_used)] // unit-domain zero contract has no failing input
     let contract = Contract::zero(d_lo, d_hi)
@@ -478,6 +422,7 @@ pub(crate) fn skip_solution(sp: &Subproblem) -> SubproblemSolution {
     };
     SubproblemSolution {
         id: sp.id,
+        // dcc-lint: allow(hot-loop-alloc, reason = "cold degraded path; the skip solution owns its member list")
         members: sp.members.clone(),
         built: BuiltContract::degraded(contract, response, 0.0, weight),
     }
@@ -485,7 +430,7 @@ pub(crate) fn skip_solution(sp: &Subproblem) -> SubproblemSolution {
 
 /// The degraded utility minus the Theorem 4.1 upper bound, when the
 /// bound is computable for this subproblem.
-pub(crate) fn utility_delta(sp: &Subproblem, params: &ModelParams, achieved: f64) -> Option<f64> {
+fn utility_delta(sp: &Subproblem, params: &ModelParams, achieved: f64) -> Option<f64> {
     if !sp.weight.is_finite() {
         return None;
     }
@@ -526,12 +471,31 @@ mod tests {
         }
     }
 
+    /// Unrecorded solve at `pool` under `policy`.
+    fn solve(
+        sps: &[Subproblem],
+        p: &ModelParams,
+        pool: usize,
+        policy: FailurePolicy,
+    ) -> Result<(BipSolution, DegradationReport), CoreError> {
+        solve_subproblems(sps, p, pool, policy, &Metrics::noop())
+    }
+
+    /// Unrecorded strict (`Abort`) solve at `pool`.
+    fn solve_strict(
+        sps: &[Subproblem],
+        p: &ModelParams,
+        pool: usize,
+    ) -> Result<BipSolution, CoreError> {
+        solve(sps, p, pool, FailurePolicy::Abort).map(|(solution, _)| solution)
+    }
+
     #[test]
     fn serial_and_parallel_agree() {
         let sps = sample_subproblems(23);
         let p = params();
-        let serial = solve_subproblems(&sps, &p, false).unwrap();
-        let parallel = solve_subproblems(&sps, &p, true).unwrap();
+        let serial = solve_strict(&sps, &p, 1).unwrap();
+        let parallel = solve_strict(&sps, &p, 4).unwrap();
         assert_eq!(serial.solutions.len(), parallel.solutions.len());
         assert!(
             (serial.total_requester_utility - parallel.total_requester_utility).abs() < 1e-9
@@ -545,7 +509,7 @@ mod tests {
     #[test]
     fn total_is_sum_of_parts() {
         let sps = sample_subproblems(7);
-        let sol = solve_subproblems(&sps, &params(), false).unwrap();
+        let sol = solve_strict(&sps, &params(), 1).unwrap();
         let sum: f64 = sol
             .solutions
             .iter()
@@ -558,7 +522,7 @@ mod tests {
     fn worker_lookup() {
         let mut sps = sample_subproblems(3);
         sps[2].members = vec![2, 9, 11];
-        let sol = solve_subproblems(&sps, &params(), false).unwrap();
+        let sol = solve_strict(&sps, &params(), 1).unwrap();
         assert_eq!(sol.for_worker(9).unwrap().id, 2);
         assert_eq!(sol.for_worker(0).unwrap().id, 0);
         assert!(sol.for_worker(99).is_none());
@@ -584,17 +548,35 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_solution() {
-        let sol = solve_subproblems(&[], &params(), true).unwrap();
-        assert!(sol.solutions.is_empty());
-        assert_eq!(sol.total_requester_utility, 0.0);
+        for pool in [1, 4] {
+            let (sol, report) = solve(&[], &params(), pool, FailurePolicy::Abort).unwrap();
+            assert!(sol.solutions.is_empty());
+            assert_eq!(sol.total_requester_utility, 0.0);
+            assert!(report.is_empty());
+        }
     }
 
     #[test]
     fn error_identifies_subproblem() {
         let mut sps = sample_subproblems(2);
         sps[1].psi = Quadratic::new(0.1, 1.0, 0.0); // convex: invalid
-        let err = solve_subproblems(&sps, &params(), false).unwrap_err();
+        let err = solve_strict(&sps, &params(), 1).unwrap_err();
         assert!(err.to_string().contains("subproblem 1"));
+    }
+
+    #[test]
+    fn abort_reports_the_first_error_at_every_pool() {
+        let mut sps = sample_subproblems(23);
+        sps[7].weight = f64::NAN;
+        sps[15].weight = f64::NAN;
+        let p = params();
+        for pool in [1, 2, 3, 4, 16, 64] {
+            let err = solve_strict(&sps, &p, pool).unwrap_err();
+            assert!(
+                err.to_string().contains("subproblem 7"),
+                "pool {pool}: {err}"
+            );
+        }
     }
 
     fn corrupted(n: usize, bad: usize) -> Vec<Subproblem> {
@@ -607,14 +589,9 @@ mod tests {
     fn fallback_policy_isolates_the_failure() {
         let sps = corrupted(6, 2);
         let p = params();
-        assert!(solve_subproblems(&sps, &p, false).is_err(), "abort fails");
-        let (sol, report) = solve_subproblems_with(
-            &sps,
-            &p,
-            false,
-            FailurePolicy::FallbackBaseline { amount: 0.5 },
-        )
-        .unwrap();
+        assert!(solve_strict(&sps, &p, 1).is_err(), "abort fails");
+        let (sol, report) =
+            solve(&sps, &p, 1, FailurePolicy::FallbackBaseline { amount: 0.5 }).unwrap();
         assert_eq!(sol.solutions.len(), 6, "every subproblem gets a contract");
         assert_eq!(report.len(), 1);
         let d = report.for_subproblem(2).expect("subproblem 2 degraded");
@@ -622,7 +599,7 @@ mod tests {
         assert!(d.reason.contains("subproblem 2"));
         assert!(matches!(d.action, DegradationAction::Fallback { amount } if amount >= 0.0));
         // The healthy subproblems match the clean solve exactly.
-        let clean = solve_subproblems(&sample_subproblems(6), &p, false).unwrap();
+        let clean = solve_strict(&sample_subproblems(6), &p, 1).unwrap();
         for (got, want) in sol.solutions.iter().zip(&clean.solutions) {
             if got.id != 2 {
                 assert_eq!(got.built.contract(), want.built.contract());
@@ -634,10 +611,10 @@ mod tests {
     fn fallback_contract_is_monotone_fixed_pay_within_bounds() {
         let sps = corrupted(3, 1);
         let p = params();
-        let (sol, _) = solve_subproblems_with(
+        let (sol, _) = solve(
             &sps,
             &p,
-            false,
+            1,
             FailurePolicy::FallbackBaseline { amount: 1_000.0 },
         )
         .unwrap();
@@ -660,8 +637,7 @@ mod tests {
     #[test]
     fn skip_policy_excludes_the_worker() {
         let sps = corrupted(4, 3);
-        let (sol, report) =
-            solve_subproblems_with(&sps, &params(), false, FailurePolicy::Skip).unwrap();
+        let (sol, report) = solve(&sps, &params(), 1, FailurePolicy::Skip).unwrap();
         assert_eq!(report.len(), 1);
         assert_eq!(
             report.degraded[0].action,
@@ -678,8 +654,8 @@ mod tests {
         let sps = corrupted(23, 7);
         let p = params();
         let policy = FailurePolicy::FallbackBaseline { amount: 0.25 };
-        let (serial, rs) = solve_subproblems_with(&sps, &p, false, policy).unwrap();
-        let (parallel, rp) = solve_subproblems_with(&sps, &p, true, policy).unwrap();
+        let (serial, rs) = solve(&sps, &p, 1, policy).unwrap();
+        let (parallel, rp) = solve(&sps, &p, 4, policy).unwrap();
         assert_eq!(rs, rp);
         assert_eq!(serial.solutions.len(), parallel.solutions.len());
         assert!(
@@ -691,11 +667,9 @@ mod tests {
     fn pooled_solve_is_bit_identical_across_pool_sizes() {
         let sps = sample_subproblems(37);
         let p = params();
-        let (reference, _) =
-            solve_subproblems_pooled(&sps, &p, 1, FailurePolicy::Abort).unwrap();
+        let (reference, _) = solve(&sps, &p, 1, FailurePolicy::Abort).unwrap();
         for pool in [2, 3, 4, 16, 64] {
-            let (pooled, _) =
-                solve_subproblems_pooled(&sps, &p, pool, FailurePolicy::Abort).unwrap();
+            let (pooled, _) = solve(&sps, &p, pool, FailurePolicy::Abort).unwrap();
             assert_eq!(reference, pooled, "pool {pool} diverged");
             assert_eq!(
                 reference.total_requester_utility.to_bits(),
@@ -708,8 +682,7 @@ mod tests {
     #[test]
     fn clean_solve_has_empty_report() {
         let sps = sample_subproblems(5);
-        let (_, report) =
-            solve_subproblems_with(&sps, &params(), false, FailurePolicy::Skip).unwrap();
+        let (_, report) = solve(&sps, &params(), 1, FailurePolicy::Skip).unwrap();
         assert!(report.is_empty());
         assert_eq!(report.len(), 0);
     }
@@ -721,10 +694,10 @@ mod tests {
         // reported as a nonpositive delta.
         let mut sps = sample_subproblems(2);
         sps[0].psi = Quadratic::new(0.1, 1.0, 0.0);
-        let (_, report) = solve_subproblems_with(
+        let (_, report) = solve(
             &sps,
             &params(),
-            false,
+            1,
             FailurePolicy::FallbackBaseline { amount: 0.5 },
         )
         .unwrap();
@@ -735,10 +708,10 @@ mod tests {
         assert!(delta <= 1e-9, "fallback cannot beat the upper bound: {delta}");
 
         // A NaN weight makes the bound itself meaningless.
-        let (_, report2) = solve_subproblems_with(
+        let (_, report2) = solve(
             &corrupted(2, 0),
             &params(),
-            false,
+            1,
             FailurePolicy::FallbackBaseline { amount: 0.5 },
         )
         .unwrap();
@@ -752,13 +725,9 @@ mod tests {
         let sps = corrupted(19, 4);
         let p = params();
         let policy = FailurePolicy::FallbackBaseline { amount: 0.4 };
-        let (plain, plain_report) = solve_subproblems_pooled(&sps, &p, 3, policy).unwrap();
-        for metrics in [
-            Metrics::noop(),
-            Metrics::new(Arc::new(JsonRecorder::new())),
-        ] {
-            let (recorded, report) =
-                solve_subproblems_recorded(&sps, &p, 3, policy, &metrics).unwrap();
+        let (plain, plain_report) = solve(&sps, &p, 3, policy).unwrap();
+        for metrics in [Metrics::noop(), Metrics::new(Arc::new(JsonRecorder::new()))] {
+            let (recorded, report) = solve_subproblems(&sps, &p, 3, policy, &metrics).unwrap();
             assert_eq!(recorded, plain);
             assert_eq!(report, plain_report);
             assert_eq!(
@@ -775,7 +744,7 @@ mod tests {
         let sps = corrupted(9, 2);
         let recorder = Arc::new(JsonRecorder::new());
         let metrics = Metrics::new(recorder.clone());
-        let (_, report) = solve_subproblems_recorded(
+        let (_, report) = solve_subproblems(
             &sps,
             &params(),
             4,
@@ -805,7 +774,7 @@ mod tests {
         let render = |pool: usize| {
             let recorder = Arc::new(JsonRecorder::new());
             let metrics = Metrics::new(recorder.clone());
-            solve_subproblems_recorded(&sps, &p, pool, FailurePolicy::Abort, &metrics).unwrap();
+            solve_subproblems(&sps, &p, pool, FailurePolicy::Abort, &metrics).unwrap();
             // The pool gauge legitimately differs; compare everything else.
             recorder
                 .to_json_redacted()

@@ -90,8 +90,9 @@ pub fn select_within_budget(
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::{solve_subproblems, Discretization, ModelParams, Subproblem};
+    use crate::{solve_subproblems, Discretization, FailurePolicy, ModelParams, Subproblem};
     use dcc_numerics::Quadratic;
+    use dcc_obs::Metrics;
 
     fn solved(n: usize) -> BipSolution {
         let disc = Discretization::covering(16, 7.0).unwrap();
@@ -109,7 +110,15 @@ mod tests {
             mu: 1.0,
             ..ModelParams::default()
         };
-        solve_subproblems(&subproblems, &params, false).unwrap()
+        solve_subproblems(
+            &subproblems,
+            &params,
+            1,
+            FailurePolicy::Abort,
+            &Metrics::noop(),
+        )
+        .unwrap()
+        .0
     }
 
     /// Exact knapsack by enumeration (small n).

@@ -1,10 +1,11 @@
 use crate::effort::{fit_effort_function, EffortFit};
 use crate::{
-    solve_subproblems_columns_with, BipSolution, Contract, CoreError, DegradationReport,
-    Discretization, FailurePolicy, ModelParams, Subproblem, SubproblemColumns,
+    solve_subproblems, BipSolution, Contract, CoreError, DegradationReport, Discretization,
+    FailurePolicy, ModelParams, Subproblem,
 };
 use dcc_detect::DetectionResult;
 use dcc_numerics::{percentile, Quadratic};
+use dcc_obs::Metrics;
 use dcc_trace::{ReviewerId, TraceDataset};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,8 +19,6 @@ pub struct DesignConfig {
     /// Quantile (0–100) of a class's observed efforts used as the end of
     /// its effort region (clamped below the fitted ψ's peak).
     pub effort_quantile: f64,
-    /// Solve subproblems in parallel.
-    pub parallel: bool,
     /// When set, non-suspected workers with at least this many reviews
     /// get an *individual* effort function fitted from their own
     /// per-review `(effort, feedback)` history instead of the class-level
@@ -40,7 +39,6 @@ impl Default for DesignConfig {
             },
             intervals: 20,
             effort_quantile: 95.0,
-            parallel: true,
             per_worker_fit_min_reviews: None,
             failure_policy: FailurePolicy::Abort,
         }
@@ -575,7 +573,8 @@ pub fn assemble_design(
 /// 1. [`prepare_design`] — split workers by the detection result, fit
 ///    each group's effort function, and decompose into subproblems with
 ///    per-worker Eq. 5 weights (§IV-B),
-/// 2. solve the subproblems (in parallel) with the §IV-C algorithm,
+/// 2. solve the subproblems with the §IV-C algorithm on
+///    [`std::thread::available_parallelism`] scoped threads,
 /// 3. [`assemble_design`] — assign contracts back to workers; community
 ///    members share the community's contract and split its payment
 ///    equally.
@@ -590,15 +589,13 @@ pub fn design_contracts(
     config: &DesignConfig,
 ) -> Result<ContractDesign, CoreError> {
     let prep = prepare_design(trace, detection, config)?;
-    // The struct-of-arrays kernel is bit-identical to the struct path
-    // (tests/differential.rs), so routing the one-shot flow through it
-    // keeps every integration test exercising the columnar solve.
-    let columns = SubproblemColumns::from_subproblems(&prep.subproblems);
-    let (solution, degradation) = solve_subproblems_columns_with(
-        columns.view(),
+    let pool = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let (solution, degradation) = solve_subproblems(
+        &prep.subproblems,
         &config.params,
-        config.parallel,
+        pool,
         config.failure_policy,
+        &Metrics::noop(),
     )?;
     Ok(assemble_design(detection, &prep, solution, degradation))
 }
@@ -885,11 +882,12 @@ mod tests {
         let one_shot = design_contracts(&trace, &detection, &config).unwrap();
 
         let prep = prepare_design(&trace, &detection, &config).unwrap();
-        let (solution, degradation) = crate::solve_subproblems_pooled(
+        let (solution, degradation) = solve_subproblems(
             &prep.subproblems,
             &config.params,
             4,
             config.failure_policy,
+            &Metrics::noop(),
         )
         .unwrap();
         let staged = assemble_design(&detection, &prep, solution, degradation);

@@ -23,8 +23,8 @@
 //! - [`best_response`] — a worker's exact best response to an arbitrary
 //!   contract (used to *verify* incentives rather than assume them).
 //! - [`solve_subproblems`] / [`design_contracts`] — the §IV-B
-//!   decomposition into per-worker / per-community subproblems, solved in
-//!   parallel.
+//!   decomposition into per-worker / per-community subproblems, solved on
+//!   a pool of scoped threads.
 //! - [`Simulation`] — the repeated Stackelberg game over `T` rounds with
 //!   lagged payments and stochastic feedback, plus the exclusion and
 //!   fixed-payment baselines of §V.
@@ -71,7 +71,6 @@ mod replay;
 mod response;
 mod risk;
 mod sim;
-mod soa;
 pub mod utilities;
 
 pub use adaptive::{AdaptiveAgent, AdaptiveConfig, AdaptiveOutcome, AdaptiveSimulation, AdaptiveState};
@@ -80,9 +79,8 @@ pub use budget::{select_within_budget, BudgetedSelection};
 pub use baseline::{BaselineStrategy, StrategyKind};
 pub use behavior::ConductModel;
 pub use bip::{
-    solve_subproblems, solve_subproblems_pooled, solve_subproblems_recorded,
-    solve_subproblems_with, BipSolution, DegradationAction, DegradationReport,
-    DegradedSubproblem, FailurePolicy, Subproblem, SubproblemSolution,
+    solve_subproblems, BipSolution, DegradationAction, DegradationReport, DegradedSubproblem,
+    FailurePolicy, Subproblem, SubproblemSolution,
 };
 pub use builder::{BuiltContract, CandidateDiagnostics, ContractBuilder};
 pub use candidate::{build_candidate, build_candidate_with_margin, Candidate};
@@ -111,8 +109,4 @@ pub use risk::{best_response_risk_averse, risk_effort_drop, RiskProfile};
 pub use sim::{
     AgentSpec, NoFaults, RoundFaults, RoundRecord, SimState, Simulation, SimulationConfig,
     SimulationOutcome,
-};
-pub use soa::{
-    solve_subproblems_columns, solve_subproblems_columns_recorded, solve_subproblems_columns_with,
-    SubproblemColumns, SubproblemsView,
 };

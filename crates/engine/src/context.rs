@@ -67,10 +67,6 @@ pub struct SimOptions {
 }
 
 /// Everything the six stages need, in one place.
-///
-/// `pool` supersedes [`DesignConfig::parallel`] inside the engine: the
-/// solve stage always goes through the explicit pool size, so the
-/// boolean is ignored.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Trace source for the ingest stage.

@@ -4,10 +4,7 @@
 use crate::context::{EngineSimOutcome, RoundContext, TraceSource};
 use crate::error::EngineError;
 use crate::stage::{Stage, StageKind};
-use dcc_core::{
-    assemble_design, prepare_design, solve_subproblems_columns_recorded, BaselineStrategy,
-    Simulation, SubproblemColumns,
-};
+use dcc_core::{assemble_design, prepare_design, solve_subproblems, BaselineStrategy, Simulation};
 use dcc_detect::run_pipeline;
 use dcc_faults::{load_sim_state, save_sim_state, FaultInjector};
 use dcc_obs::{names as obs, AttrValue};
@@ -112,7 +109,7 @@ impl Stage for DefaultFitEffort {
 /// Solves the decomposition across the configured worker pool.
 ///
 /// Results are bit-identical for every pool size (deterministic chunked
-/// fan-out, see [`solve_subproblems_pooled`]), so the engine treats the
+/// fan-out, see [`solve_subproblems`]), so the engine treats the
 /// pool as a pure throughput knob.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DefaultSolve;
@@ -124,9 +121,8 @@ impl Stage for DefaultSolve {
 
     fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
         let config = ctx.config();
-        let columns = SubproblemColumns::from_subproblems(&ctx.prep()?.subproblems);
-        let (solution, degradation) = solve_subproblems_columns_recorded(
-            columns.view(),
+        let (solution, degradation) = solve_subproblems(
+            &ctx.prep()?.subproblems,
             &config.design.params,
             config.pool.resolve(),
             config.design.failure_policy,

@@ -8,9 +8,7 @@
 // clippy.toml's in-tests exemption, so allow at file scope.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use dcc_core::{
-    prepare_design, solve_subproblems_pooled, DesignConfig, DesignPrep, FailurePolicy,
-};
+use dcc_core::{prepare_design, solve_subproblems, DesignConfig, DesignPrep, FailurePolicy};
 use dcc_detect::{run_pipeline, DetectionResult, PipelineConfig};
 use dcc_engine::{Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, SimOptions};
 use dcc_faults::FaultPlanConfig;
@@ -117,11 +115,11 @@ proptest! {
         pool in 2usize..=16,
     ) {
         let fx = &fixtures()[seed_idx];
-        let (seq, seq_deg) = solve_subproblems_pooled(
-            &fx.prep.subproblems, &fx.config.params, 1, FailurePolicy::Abort,
+        let (seq, seq_deg) = solve_subproblems(
+            &fx.prep.subproblems, &fx.config.params, 1, FailurePolicy::Abort, &Metrics::noop(),
         ).unwrap();
-        let (par, par_deg) = solve_subproblems_pooled(
-            &fx.prep.subproblems, &fx.config.params, pool, FailurePolicy::Abort,
+        let (par, par_deg) = solve_subproblems(
+            &fx.prep.subproblems, &fx.config.params, pool, FailurePolicy::Abort, &Metrics::noop(),
         ).unwrap();
         prop_assert_eq!(&par, &seq);
         prop_assert_eq!(
@@ -144,11 +142,11 @@ proptest! {
         let fx = &fixtures()[seed_idx];
         let subproblems = corrupted(&fx.prep, victim);
         let policy = FailurePolicy::FallbackBaseline { amount };
-        let (seq, seq_deg) = solve_subproblems_pooled(
-            &subproblems, &fx.config.params, 1, policy,
+        let (seq, seq_deg) = solve_subproblems(
+            &subproblems, &fx.config.params, 1, policy, &Metrics::noop(),
         ).unwrap();
-        let (par, par_deg) = solve_subproblems_pooled(
-            &subproblems, &fx.config.params, pool, policy,
+        let (par, par_deg) = solve_subproblems(
+            &subproblems, &fx.config.params, pool, policy, &Metrics::noop(),
         ).unwrap();
         prop_assert_eq!(seq_deg.len(), 1, "exactly the victim degrades");
         prop_assert_eq!(&par, &seq);

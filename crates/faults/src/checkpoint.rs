@@ -224,24 +224,34 @@ pub fn sim_state_from_json(doc: &Json) -> Result<SimState, CoreError> {
     })
 }
 
-/// Writes a JSON document to `path` atomically: the bytes go to a
-/// sibling `.tmp` file first and are renamed into place, so a crash
-/// mid-write can never leave a truncated checkpoint where a valid one
-/// used to be. The shared persistence primitive of every crash-safe
-/// checkpoint writer (batch scheduler, streaming service).
+/// Writes `bytes` to `path` atomically: they go to a sibling `.tmp`
+/// file first and are renamed into place, so a crash mid-write can
+/// never leave a truncated checkpoint where a valid one used to be. The
+/// shared persistence primitive of every crash-safe checkpoint writer
+/// (simulation, batch scheduler, streaming service).
+///
+/// # Errors
+///
+/// Returns the underlying I/O error on filesystem failure; the temp
+/// file is removed on a failed write or rename.
+pub fn save_bytes_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// [`save_bytes_atomic`] over a JSON document's text.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Io`] on filesystem failure; the temp file is
 /// removed on a failed rename.
 pub fn save_json_atomic(path: &Path, doc: &Json) -> Result<(), CoreError> {
-    let tmp = path.with_extension("tmp");
-    let result = std::fs::write(&tmp, doc.to_string())
-        .and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result.map_err(|e| CoreError::io(format!("write checkpoint {}", path.display()), e))
+    save_bytes_atomic(path, doc.to_string().as_bytes())
+        .map_err(|e| CoreError::io(format!("write checkpoint {}", path.display()), e))
 }
 
 /// Writes a [`SimState`] checkpoint file.
@@ -637,5 +647,22 @@ mod tests {
         std::fs::write(dir.join("bad.json"), "{\"version\":\"9\",\"kind\":\"sim\"}").unwrap();
         let err = load_sim_state(&dir.join("bad.json")).unwrap_err();
         assert!(format!("{err}").contains("version"), "{err}");
+    }
+
+    #[test]
+    fn failed_rename_is_reported_and_leaves_no_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("dcc-faults-rename-test-{}", std::process::id()));
+        // An existing directory at the target path makes the rename fail
+        // after the temp file was written.
+        let path = dir.join("state.json");
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(save_bytes_atomic(&path, b"{}").is_err());
+        assert!(!path.with_extension("tmp").exists());
+        let err = save_json_atomic(&path, &Json::Obj(Vec::new())).unwrap_err();
+        assert!(matches!(err, CoreError::Io { .. }), "{err}");
+        assert!(!path.with_extension("tmp").exists());
+        assert!(path.is_dir());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

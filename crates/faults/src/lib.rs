@@ -58,8 +58,8 @@ mod retry;
 
 pub use checkpoint::{
     adaptive_state_from_json, adaptive_state_to_json, load_adaptive_state, load_sim_state,
-    save_adaptive_state, save_json_atomic, save_sim_state, sim_state_from_json, sim_state_to_json,
-    CHECKPOINT_VERSION,
+    save_adaptive_state, save_bytes_atomic, save_json_atomic, save_sim_state, sim_state_from_json,
+    sim_state_to_json, CHECKPOINT_VERSION,
 };
 pub use injector::{FaultHitCounts, FaultInjector, FiredFault};
 // The JSON value moved to the bottom of the workspace (`dcc-numerics`)

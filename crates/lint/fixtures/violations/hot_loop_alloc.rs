@@ -1,7 +1,7 @@
 //! hot-loop-alloc fixture: a per-subproblem allocation in a solve
-//! kernel. The rule is scoped to the sanctioned struct-of-arrays
-//! kernel paths, so the test lints this source under
-//! `crates/core/src/soa.rs`.
+//! kernel. The rule is scoped to the subproblem solve kernel's file,
+//! so the test lints this source under
+//! `crates/core/src/bip.rs`.
 
 fn members_of(xs: &[u64]) -> Vec<u64> {
     xs.to_vec()

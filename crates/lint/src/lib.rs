@@ -13,7 +13,7 @@
 //! | `unwrap-in-lib` | no `.unwrap()`/`.expect(…)`/`panic!` in non-test code |
 //! | `nondet-iter` | no `HashMap`/`HashSet` (iteration order is nondeterministic) |
 //! | `wall-clock` | no `Instant`/`SystemTime` outside `dcc-obs` |
-//! | `hot-loop-alloc` | no per-element allocation in the struct-of-arrays solve kernels |
+//! | `hot-loop-alloc` | no per-element allocation in the subproblem solve kernel |
 //! | `metric-registry` | metric names in code ↔ `docs/observability.md` stay in sync |
 //! | `determinism-taint` | no source→sink nondeterminism flow through the call graph |
 //! | `taint-policy` | the taint policy file contains no stale entries |
@@ -379,10 +379,10 @@ fn wall_clock_exempt(rel: &str) -> bool {
 }
 
 /// Files where the advisory `hot-loop-alloc` rule applies: the
-/// struct-of-arrays solve kernels, whose contract is allocation-free
-/// column access on the per-subproblem path.
+/// subproblem solve kernel, whose per-subproblem path must not grow
+/// allocations beyond the member list each solution owns.
 fn hot_loop_scope(rel: &str) -> bool {
-    rel == "crates/core/src/soa.rs"
+    rel == "crates/core/src/bip.rs"
 }
 
 fn rel_path(root: &Path, file: &Path) -> String {

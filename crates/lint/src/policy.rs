@@ -204,7 +204,7 @@ mod tests {
 launder path:crates/obs/ -- redacted downstream
 
 launder fn:crates/engine/src/stages.rs#DefaultIngest::run -- span timing
-launder fn:solve_subproblems_pooled -- fixed-order merge
+launder fn:solve_subproblems -- fixed-order merge
 launder call:seed_from_u64 -- seeded construction
 sink fn:FaultPlan::save -- deterministic serialization
 ";
@@ -226,8 +226,8 @@ sink fn:FaultPlan::save -- deterministic serialization
         ));
         assert!(p.entries[2].pattern.matches_fn(
             "crates/core/src/bip.rs",
-            "solve_subproblems_pooled",
-            "solve_subproblems_pooled"
+            "solve_subproblems",
+            "solve_subproblems"
         ));
         assert!(p.entries[3].pattern.matches_call("seed_from_u64"));
         assert_eq!(p.entries[4].kind, EntryKind::Sink);

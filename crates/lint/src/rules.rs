@@ -32,7 +32,7 @@ pub struct FileCtx<'a> {
     /// Whether the wall-clock rule exempts this file (the `dcc-obs`
     /// timing layer itself).
     pub wall_clock_exempt: bool,
-    /// Whether this file is a sanctioned struct-of-arrays solve kernel,
+    /// Whether this file is the subproblem solve kernel,
     /// where the advisory `hot-loop-alloc` rule applies.
     pub hot_loop_scope: bool,
 }
@@ -211,14 +211,13 @@ fn wall_clock(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `hot-loop-alloc`: advisory — in the sanctioned struct-of-arrays
-/// solve kernels (whose whole point is allocation-free column access),
-/// flags the per-element allocators `Vec::new(…)`, `vec![…]`,
-/// `.to_vec()`, and `.clone()`. These are exactly the calls that
-/// silently reintroduce the per-subproblem heap traffic the columnar
-/// path exists to remove; each surviving use must carry a reasoned
-/// suppression (e.g. a degraded-path materialization that runs at most
-/// once per failure).
+/// `hot-loop-alloc`: advisory — in the subproblem solve kernel (which
+/// runs once per subproblem, up to millions of times per design), flags
+/// the per-element allocators `Vec::new(…)`, `vec![…]`, `.to_vec()`,
+/// and `.clone()`. These are exactly the calls that silently add
+/// per-subproblem heap traffic; each surviving use must carry a
+/// reasoned suppression (e.g. a degraded-path materialization that runs
+/// at most once per failure).
 fn hot_loop_alloc(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     if !ctx.hot_loop_scope {
         return;
@@ -258,8 +257,8 @@ fn hot_loop_alloc(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
                 ctx.path,
                 t.line,
                 format!(
-                    "{what} in a struct-of-arrays solve kernel; borrow from the \
-                     column view or hoist the buffer, or suppress with a reason"
+                    "{what} in the subproblem solve kernel; borrow from the \
+                     input or hoist the buffer, or suppress with a reason"
                 ),
             ));
         }

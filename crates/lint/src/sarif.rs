@@ -29,7 +29,7 @@ fn rule_description(rule: &str) -> &'static str {
         "unwrap-in-lib" => "No unwrap/expect/panic! in non-test library code.",
         "nondet-iter" => "No HashMap/HashSet: iteration order is nondeterministic.",
         "wall-clock" => "No Instant/SystemTime reads outside the dcc-obs timing layer.",
-        "hot-loop-alloc" => "No per-element allocation in the struct-of-arrays solve kernels.",
+        "hot-loop-alloc" => "No per-element allocation in the subproblem solve kernel.",
         "metric-registry" => "Metric names in code and docs/observability.md must stay in sync.",
         "determinism-taint" => {
             "No nondeterministic value may flow through the call graph into a digest, checkpoint, golden snapshot, or metric emission."

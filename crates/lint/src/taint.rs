@@ -29,8 +29,8 @@
 //! timer reads whose values feed redacted spans, the fixed-order pooled
 //! merge. A finding is reported when a tainted function calls a
 //! **sink** — digest folds (`design_digest`, `fnv*`, `*fingerprint*`),
-//! checkpoint serialization (`save_checkpoint`, `save_json_atomic`, …),
-//! golden-snapshot writers, and metric emission (`.add`/`.gauge`/
+//! checkpoint serialization (`save_checkpoint`, `save_bytes_atomic`,
+//! `save_json_atomic`, …), golden-snapshot writers, and metric emission (`.add`/`.gauge`/
 //! `.observe`/`.event`) — or when a sink function is itself tainted.
 //! Each finding carries the full source→…→sink trace, rendered in both
 //! `dcc-lint/2` JSON and SARIF code flows.
@@ -100,7 +100,11 @@ fn builtin_sink_fn(name: &str) -> Option<&'static str> {
     }
     if matches!(
         name,
-        "save_checkpoint" | "save_json_atomic" | "save_sim_state" | "save_adaptive_state"
+        "save_checkpoint"
+            | "save_bytes_atomic"
+            | "save_json_atomic"
+            | "save_sim_state"
+            | "save_adaptive_state"
             | "write_checkpoint"
     ) {
         return Some("checkpoint");

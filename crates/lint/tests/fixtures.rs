@@ -56,9 +56,9 @@ fn thread_sleep_fixture() {
 fn hot_loop_alloc_fixture() {
     let src = std::fs::read_to_string(fixture_root().join("violations/hot_loop_alloc.rs"))
         .expect("fixture reads");
-    // The rule only applies inside the sanctioned struct-of-arrays
-    // kernels, so the fixture is linted under that path…
-    let findings = dcc_lint::lint_source("crates/core/src/soa.rs", &src);
+    // The rule only applies inside the subproblem solve kernel, so the
+    // fixture is linted under that path…
+    let findings = dcc_lint::lint_source("crates/core/src/bip.rs", &src);
     assert_eq!(findings.len(), 1, "{findings:#?}");
     assert_eq!(findings[0].rule, "hot-loop-alloc");
     assert_eq!(findings[0].line, 7);

@@ -53,7 +53,7 @@
 //!
 //! Multi-threaded producers should **not** record from worker threads:
 //! measure there, merge deterministically, then emit from one thread (see
-//! `solve_subproblems_recorded` in `dcc-core` for the pattern, and
+//! `solve_subproblems` in `dcc-core` for the pattern, and
 //! [`Metrics::span_at`] for recording a pre-measured duration).
 
 #![forbid(unsafe_code)]

@@ -91,7 +91,6 @@ impl ServeService {
     /// `--verify`, any bitwise mismatch against the cold batch
     /// recompute.
     pub fn apply(&mut self, event: &ServeEvent) -> Result<Option<RoundOutput>, CoreError> {
-        self.metrics.add(names::COUNTER_SERVE_EVENTS, 1);
         let out = if matches!(event, ServeEvent::Round) {
             let (dirty_workers, dirty_products) = self.state.pending_dirty();
             let span = self.metrics.span(
@@ -109,6 +108,7 @@ impl ServeService {
             self.state.apply(event)?
         };
         self.log.push(event.clone());
+        self.metrics.add(names::COUNTER_SERVE_EVENTS, 1);
         if let Some(out) = &out {
             self.record_round(out);
             if self.verify {

@@ -28,9 +28,9 @@
 
 use dcc_core::{
     assemble_design, decompose_design, effort_region, fit_effort_function,
-    fit_effort_function_with_candidate, solve_subproblems_pooled, BipSolution, ClassModel,
-    ClassModels, ClassPoints, ContractDesign, CoreError, DegradationReport, DegradedSubproblem,
-    DesignConfig, DesignPrep, Discretization, EffortFit, SubproblemSolution,
+    fit_effort_function_with_candidate, solve_subproblems, BipSolution, ClassModel, ClassModels,
+    ClassPoints, ContractDesign, CoreError, DegradationReport, DegradedSubproblem, DesignConfig,
+    DesignPrep, Discretization, EffortFit, SubproblemSolution,
 };
 use dcc_detect::{
     CollusionReport, ConsensusMap, DetectionResult, FeedbackWeights, MaliciousEstimates,
@@ -38,6 +38,7 @@ use dcc_detect::{
 };
 use dcc_graph::UnionFind;
 use dcc_numerics::IncrementalQuadraticFit;
+use dcc_obs::Metrics;
 use dcc_trace::{
     Campaign, Product, ProductId, Reviewer, ReviewerId, TraceDataset, WorkerClass,
 };
@@ -49,7 +50,8 @@ use crate::event::ServeEvent;
 /// summary and mirrored into `serve.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Events ingested (all kinds, round markers included).
+    /// Events accepted (all kinds, round markers included); a rejected
+    /// event is not counted.
     pub events: usize,
     /// Round boundaries recomputed.
     pub rounds: usize,
@@ -291,7 +293,6 @@ impl ServeState {
     /// are captured in [`RoundOutput::design`], exactly as the batch
     /// pipeline would report them over the same prefix.
     pub fn apply(&mut self, event: &ServeEvent) -> Result<Option<RoundOutput>, CoreError> {
-        self.stats.events += 1;
         match event {
             ServeEvent::Product { id, quality } => {
                 self.trace
@@ -300,17 +301,13 @@ impl ServeState {
                         true_quality: *quality,
                     })
                     .map_err(|e| CoreError::InvalidInput(e.to_string()))?;
-                Ok(None)
             }
             ServeEvent::Join {
                 id,
                 class,
                 campaign,
                 expert,
-            } => {
-                self.join(*id, *class, *campaign, *expert)?;
-                Ok(None)
-            }
+            } => self.join(*id, *class, *campaign, *expert)?,
             ServeEvent::Review {
                 worker,
                 product,
@@ -331,10 +328,13 @@ impl ServeState {
                     .map_err(|e| CoreError::InvalidInput(e.to_string()))?;
                 self.dirty_workers.insert(ReviewerId(*worker));
                 self.dirty_products.insert(ProductId(*product));
-                Ok(None)
             }
-            ServeEvent::Round => Ok(Some(self.round_boundary())),
+            ServeEvent::Round => {}
         }
+        // Only accepted events count, so a service restored from its
+        // log (which holds accepted events only) reports the same stats.
+        self.stats.events += 1;
+        Ok(matches!(event, ServeEvent::Round).then(|| self.round_boundary()))
     }
 
     fn join(
@@ -690,7 +690,7 @@ impl ServeState {
 
     /// Solves only the subproblems whose bitwise input fingerprint
     /// changed, merging cached and fresh solutions in input order.
-    /// Bit-identical to a full `solve_subproblems_pooled` over all
+    /// Bit-identical to a full `solve_subproblems` over all
     /// subproblems: each subproblem's arithmetic is self-contained, the
     /// total is re-summed over the merged list in input order, and the
     /// pooled solve is itself bit-identical across pool sizes.
@@ -749,7 +749,7 @@ impl ServeState {
 
         if !to_solve.is_empty() {
             let (fresh, fresh_report) =
-                solve_subproblems_pooled(&to_solve, params, self.pool, policy)?;
+                solve_subproblems(&to_solve, params, self.pool, policy, &Metrics::noop())?;
             let mut degraded_by_id: BTreeMap<usize, DegradedSubproblem> = fresh_report
                 .degraded
                 .into_iter()

@@ -74,6 +74,51 @@ fn quiet_rounds_reuse_everything() {
 }
 
 #[test]
+fn rejected_event_changes_nothing_and_restores_equal() {
+    let mut service = replay_verified(5, 2);
+    let stats = service.stats();
+    let digest = |service: &ServeService| {
+        dcc_serve::design_digest(&service.state().cold_design().expect("design"))
+    };
+    let before = digest(&service);
+    let log_len = service.log().len();
+    let unknown = service.state().trace().reviewers().len() + 7;
+    let err = service
+        .apply(&dcc_serve::ServeEvent::Review {
+            worker: unknown,
+            product: 0,
+            round: service.state().rounds_seen(),
+            stars: 3.0,
+            length: 10,
+            upvotes: 0.0,
+        })
+        .expect_err("a review naming an unknown worker is rejected");
+    assert!(
+        err.to_string()
+            .contains(&format!("references reviewer {unknown}")),
+        "{err}"
+    );
+    assert_eq!(service.stats(), stats, "a rejected event is not counted");
+    assert_eq!(
+        service.log().len(),
+        log_len,
+        "a rejected event is not logged"
+    );
+    assert_eq!(digest(&service), before);
+
+    let (restored, _) = ServeService::restore(
+        PipelineConfig::default(),
+        DesignConfig::default(),
+        2,
+        false,
+        Metrics::noop(),
+        service.log(),
+    )
+    .expect("restore");
+    assert_eq!(restored.stats(), service.stats());
+}
+
+#[test]
 fn estimated_suspect_source_is_rejected() {
     let err = ServeState::new(
         PipelineConfig {

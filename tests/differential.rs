@@ -17,10 +17,10 @@ use dyncontract::batch::{
     FailureKind, FaultMode, FaultPoint, ScenarioFault, ScenarioGrid, SupervisorOptions,
 };
 use dyncontract::core::{
-    solve_subproblems_columns, solve_subproblems_pooled, BipSolution, ContractDesign,
-    FailurePolicy, ModelParams, Subproblem, SubproblemColumns,
+    solve_subproblems, BipSolution, ContractDesign, FailurePolicy, ModelParams, Subproblem,
 };
 use dyncontract::engine::{Engine, EngineConfig, PoolSize, RoundContext, StageKind};
+use dyncontract::obs::Metrics;
 use dyncontract::trace::{SyntheticConfig, TraceDataset};
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -178,26 +178,25 @@ proptest! {
         prop_assert_eq!(swept.as_str(), reference(seed_idx));
     }
 
-    /// The struct-of-arrays solve (`solve_subproblems_columns`) is
-    /// byte-identical to the row-struct solver on the same decomposition,
-    /// at every pool size and μ — the guarantee that lets the engine's
-    /// hot path consume the columnar view unconditionally.
+    /// The pooled subproblem solve is byte-identical to the serial
+    /// (`pool = 1`) solve on the same decomposition, at every pool size
+    /// and μ.
     #[test]
-    fn columnar_solve_matches_struct_solve(
+    fn pooled_solve_matches_serial_solve(
         seed_idx in 0usize..SEEDS.len(),
         pool in 1usize..=16,
         mu_idx in 0usize..MUS.len(),
     ) {
         let sps = subproblems(seed_idx);
         let params = ModelParams { mu: MUS[mu_idx], ..ModelParams::default() };
-        let (row, row_deg) = solve_subproblems_pooled(sps, &params, 1, FailurePolicy::Abort)
-            .expect("struct solve");
-        let columns = SubproblemColumns::from_subproblems(sps);
-        let (col, col_deg) =
-            solve_subproblems_columns(columns.view(), &params, pool, FailurePolicy::Abort)
-                .expect("columnar solve");
-        prop_assert_eq!(encode_bip(&col), encode_bip(&row));
-        prop_assert_eq!(format!("{col_deg:?}"), format!("{row_deg:?}"));
+        let solve = |pool| {
+            solve_subproblems(sps, &params, pool, FailurePolicy::Abort, &Metrics::noop())
+                .expect("solve")
+        };
+        let (serial, serial_deg) = solve(1);
+        let (pooled, pooled_deg) = solve(pool);
+        prop_assert_eq!(encode_bip(&pooled), encode_bip(&serial));
+        prop_assert_eq!(format!("{pooled_deg:?}"), format!("{serial_deg:?}"));
     }
 
     /// The batch runner — any scenario-pool size, any failure policy —

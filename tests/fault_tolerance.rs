@@ -17,15 +17,15 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use dyncontract::core::{
-    bounds, design_contracts, solve_subproblems, solve_subproblems_with, BaselineStrategy,
-    DesignConfig, Discretization, FailurePolicy, ModelParams, Simulation, SimulationConfig,
-    StrategyKind, Subproblem,
+    bounds, design_contracts, solve_subproblems, BaselineStrategy, DesignConfig, Discretization,
+    FailurePolicy, ModelParams, Simulation, SimulationConfig, StrategyKind, Subproblem,
 };
 use dyncontract::detect::{run_pipeline, PipelineConfig};
 use dyncontract::faults::{
     load_sim_state, save_sim_state, FaultInjector, FaultPlan, FaultPlanConfig,
 };
 use dyncontract::numerics::Quadratic;
+use dyncontract::obs::Metrics;
 use dyncontract::trace::SyntheticConfig;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -202,12 +202,14 @@ proptest! {
         sps[bad].weight = f64::NAN; // forces degradation of one subproblem
         let params = ModelParams::default();
 
-        prop_assert!(solve_subproblems(&sps, &params, false).is_err());
-        let (solution, report) = solve_subproblems_with(
+        let noop = Metrics::noop();
+        prop_assert!(solve_subproblems(&sps, &params, 1, FailurePolicy::Abort, &noop).is_err());
+        let (solution, report) = solve_subproblems(
             &sps,
             &params,
-            false,
+            1,
             FailurePolicy::FallbackBaseline { amount },
+            &noop,
         )?;
         prop_assert_eq!(report.len(), 1);
         prop_assert!(report.for_subproblem(bad).is_some());
@@ -231,7 +233,8 @@ proptest! {
         // Healthy subproblems match the clean solve exactly.
         let mut clean_sps = subproblems(4, psi, m, y_max);
         clean_sps[bad].weight = 1.0; // any finite value; only healthy ones compared
-        let clean = solve_subproblems(&clean_sps, &params, false)?;
+        let (clean, _) =
+            solve_subproblems(&clean_sps, &params, 1, FailurePolicy::Abort, &noop)?;
         for i in 0..4 {
             if i != bad {
                 prop_assert_eq!(&solution.solutions[i], &clean.solutions[i]);
