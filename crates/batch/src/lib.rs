@@ -8,15 +8,17 @@
 //! and simulation configuration. The [`BatchRunner`] fans the expanded
 //! scenario list across a bounded `std::thread::scope` worker pool and
 //! merges results back **in input order**, so batched output is
-//! bit-identical to running every scenario serially through
-//! [`dcc_engine::Engine`] — the property `tests/differential.rs`
-//! proves across pool sizes 1–16.
+//! bit-identical to running every scenario serially through the
+//! `dcc-engine` pipeline — the property `tests/differential.rs` proves
+//! across pool sizes 1–16. Each scenario calls the detect, fit, solve,
+//! construct and simulate functions that the engine's default stages
+//! wrap, directly and in the same order.
 //!
 //! The throughput win comes from the [`StageMemo`]: a content-addressed
 //! cache for the expensive Detect and Fit stage outputs, keyed on a
 //! trace fingerprint plus the stage configuration. A 16-point μ-sweep
 //! detects and fits once and re-solves 16 times, exactly like a serial
-//! [`dcc_engine::RoundContext`] μ-sweep — but the memo is shared
+//! μ-sweep on one engine context — but the memo is shared
 //! *across* scenarios, traces, and runner invocations (warm reruns skip
 //! straight to the solve).
 //!

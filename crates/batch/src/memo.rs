@@ -9,23 +9,31 @@
 //! - a **pipeline fingerprint** covers the full `PipelineConfig`
 //!   (via its `Debug` form — the config is a flat `Copy` struct, so the
 //!   form is total);
-//! - a **fit fingerprint** covers exactly the design fields the
-//!   engine's own fit-stage invalidation key tracks (ω, intervals,
-//!   effort quantile, per-worker fit threshold) — deliberately *not*
-//!   μ, which only the solve stage consumes;
+//! - a **fit fingerprint** covers exactly
+//!   [`dcc_core::DesignConfig::fit_key`] (ω, intervals, effort
+//!   quantile, per-worker fit threshold) — the same key the engine's
+//!   fit-stage invalidation uses, and deliberately *not* μ, which only
+//!   the solve stage consumes;
 //! - a **solve fingerprint** covers the full `DesignConfig` including
 //!   μ and the failure policy (the pool size lives outside it and is
-//!   bit-identity-neutral by the engine's own contract) — so a grid
+//!   bit-identity-neutral by the solver's own contract) — so a grid
 //!   that varies only the budget fraction or the strategy solves each
 //!   distinct design exactly once, and a warm rerun solves nothing.
 //!
-//! Memoized values are stored behind `Arc`, so cache hits clone a
-//! pointer, not a detection result. The memo never evicts: a batch
-//! sweep touches a handful of (trace, config) pairs, and the caller
-//! controls lifetime by dropping the [`StageMemo`].
+//! Every stage — trace, detect, fit, solve — is one [`MemoTable`];
+//! within a run, [`RunSlots`] puts one in-flight [`Slot`] per distinct
+//! key in front of a table: it seeds the slot from the memo, derives
+//! each scenario's serial-schedule cache flag, and publishes computed
+//! values back. Memoized values are stored behind `Arc`, so cache hits
+//! clone a pointer, not a detection result. The memo never evicts: a
+//! batch sweep touches a handful of (trace, config) pairs, and the
+//! caller controls lifetime by dropping the [`StageMemo`].
 
+use crate::supervisor::Slot;
+use dcc_core::{ContractDesign, DesignConfig, DesignPrep};
 use dcc_detect::{DetectionResult, PipelineConfig};
 use dcc_trace::TraceDataset;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -76,27 +84,112 @@ pub(crate) type FitKey = (u64, u64, u64);
 /// solve-config) fingerprints.
 pub(crate) type SolveKey = (u64, u64, u64, u64);
 
-#[derive(Debug, Default)]
-struct Inner {
-    /// Source key → materialized trace + its content fingerprint.
-    traces: BTreeMap<String, (Arc<TraceDataset>, u64)>,
-    detect: BTreeMap<DetectKey, Arc<DetectionResult>>,
-    /// Fit outcomes are memoized *including* deterministic failures, so
-    /// a warm rerun replays the same error without re-fitting.
-    fit: BTreeMap<FitKey, Result<Arc<dcc_core::DesignPrep>, String>>,
-    /// Solved designs, memoized including deterministic failures for
-    /// the same reason as fits.
-    solve: BTreeMap<SolveKey, Result<Arc<dcc_core::ContractDesign>, String>>,
+/// One memoized stage: key → value under its own lock.
+#[derive(Debug)]
+pub(crate) struct MemoTable<K, V> {
+    map: Mutex<BTreeMap<K, V>>,
 }
 
-/// Shared, thread-safe memo for Detect, Fit, and Solve stage outputs.
+impl<K, V> Default for MemoTable<K, V> {
+    fn default() -> Self {
+        MemoTable { map: Mutex::new(BTreeMap::new()) }
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> MemoTable<K, V> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<K, V>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
+        self.lock().get(key).cloned()
+    }
+
+    pub(crate) fn insert(&self, key: K, value: V) {
+        self.lock().insert(key, value);
+    }
+
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+/// One memoized stage within a run: each scenario's key and cache flag,
+/// and one in-flight [`Slot`] per distinct key, seeded from the memo.
+pub(crate) struct RunSlots<'m, K, V> {
+    table: &'m MemoTable<K, V>,
+    slots: BTreeMap<K, Slot<V>>,
+    /// Per scenario index: its key and whether the serial schedule
+    /// reuses it; `None` for a scenario never claimed.
+    scenarios: Vec<Option<(K, bool)>>,
+}
+
+impl<'m, K: Ord + Clone, V: Clone> RunSlots<'m, K, V> {
+    pub(crate) fn new(table: &'m MemoTable<K, V>, scenarios: usize) -> Self {
+        RunSlots { table, slots: BTreeMap::new(), scenarios: vec![None; scenarios] }
+    }
+
+    /// Registers scenario `i`'s key and returns its cache flag. Claims
+    /// must come in scenario order: a scenario is cached when the memo
+    /// already held the key or a lower-id scenario claimed it.
+    pub(crate) fn claim(&mut self, i: usize, key: K) -> bool {
+        let cached = match self.slots.entry(key.clone()) {
+            Entry::Occupied(_) => true,
+            Entry::Vacant(vacant) => {
+                let seeded = self.table.get(vacant.key());
+                let cached = seeded.is_some();
+                vacant.insert(seeded.map_or_else(Slot::new, Slot::seeded));
+                cached
+            }
+        };
+        if let Some(entry) = self.scenarios.get_mut(i) {
+            *entry = Some((key, cached));
+        }
+        cached
+    }
+
+    /// Scenario `i`'s cache flag (`false` if never claimed).
+    pub(crate) fn cached(&self, i: usize) -> bool {
+        matches!(self.scenarios.get(i), Some(Some((_, true))))
+    }
+
+    /// The slot scenario `i` computes or reads its value through.
+    pub(crate) fn slot(&self, i: usize) -> Option<&Slot<V>> {
+        let (key, _) = self.scenarios.get(i)?.as_ref()?;
+        self.slots.get(key)
+    }
+
+    /// Publishes every computed value the memo does not hold yet, so a
+    /// later run (or a shared runner) starts warm. Only `Ready` slots
+    /// publish — a slot whose computation panicked is `Empty` again, so
+    /// a poisoned scenario can never reach the memo.
+    pub(crate) fn publish(&self) {
+        let mut map = self.table.lock();
+        for (key, slot) in &self.slots {
+            if let Some(value) = slot.peek() {
+                map.entry(key.clone()).or_insert(value);
+            }
+        }
+    }
+}
+
+/// Shared, thread-safe memo for the trace, Detect, Fit, and Solve stage
+/// outputs.
 ///
 /// Clone the surrounding `Arc<StageMemo>` into several
 /// [`crate::BatchRunner`]s to share warm caches across runs; a fresh
 /// memo reproduces cold-start behavior.
 #[derive(Debug, Default)]
 pub struct StageMemo {
-    inner: Mutex<Inner>,
+    /// Source key → materialized trace + its content fingerprint.
+    pub(crate) traces: MemoTable<String, (Arc<TraceDataset>, u64)>,
+    pub(crate) detect: MemoTable<DetectKey, Arc<DetectionResult>>,
+    /// Fit outcomes are memoized *including* deterministic failures, so
+    /// a warm rerun replays the same error without re-fitting.
+    pub(crate) fit: MemoTable<FitKey, Result<Arc<DesignPrep>, String>>,
+    /// Solved designs, memoized including deterministic failures for
+    /// the same reason as fits.
+    pub(crate) solve: MemoTable<SolveKey, Result<Arc<ContractDesign>, String>>,
 }
 
 impl StageMemo {
@@ -107,57 +200,13 @@ impl StageMemo {
 
     /// Number of memoized (trace, detection, fit, solve) entries.
     pub fn len(&self) -> (usize, usize, usize, usize) {
-        let inner = self.lock();
-        (inner.traces.len(), inner.detect.len(), inner.fit.len(), inner.solve.len())
+        (self.traces.len(), self.detect.len(), self.fit.len(), self.solve.len())
     }
 
     /// `true` when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
         let (t, d, f, s) = self.len();
         t == 0 && d == 0 && f == 0 && s == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub(crate) fn get_trace(&self, key: &str) -> Option<(Arc<TraceDataset>, u64)> {
-        self.lock().traces.get(key).cloned()
-    }
-
-    pub(crate) fn insert_trace(&self, key: String, trace: Arc<TraceDataset>, fingerprint: u64) {
-        self.lock().traces.insert(key, (trace, fingerprint));
-    }
-
-    pub(crate) fn get_detect(&self, key: &DetectKey) -> Option<Arc<DetectionResult>> {
-        self.lock().detect.get(key).cloned()
-    }
-
-    pub(crate) fn insert_detect(&self, key: DetectKey, value: Arc<DetectionResult>) {
-        self.lock().detect.insert(key, value);
-    }
-
-    pub(crate) fn get_fit(&self, key: &FitKey) -> Option<Result<Arc<dcc_core::DesignPrep>, String>> {
-        self.lock().fit.get(key).cloned()
-    }
-
-    pub(crate) fn insert_fit(&self, key: FitKey, value: Result<Arc<dcc_core::DesignPrep>, String>) {
-        self.lock().fit.insert(key, value);
-    }
-
-    pub(crate) fn get_solve(
-        &self,
-        key: &SolveKey,
-    ) -> Option<Result<Arc<dcc_core::ContractDesign>, String>> {
-        self.lock().solve.get(key).cloned()
-    }
-
-    pub(crate) fn insert_solve(
-        &self,
-        key: SolveKey,
-        value: Result<Arc<dcc_core::ContractDesign>, String>,
-    ) {
-        self.lock().solve.insert(key, value);
     }
 }
 
@@ -253,18 +302,16 @@ pub(crate) fn pipeline_fingerprint(pipeline: &PipelineConfig) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of the fit-relevant design fields — the same set as the
-/// engine's internal fit-stage invalidation key (see
-/// `RoundContext::set_mu`, which re-solves without re-fitting): ω,
-/// intervals, effort quantile, and the per-worker fit threshold. μ and
-/// the failure policy are deliberately excluded; they only affect the
-/// solve stage.
-pub(crate) fn fit_fingerprint(design: &dcc_core::DesignConfig) -> u64 {
+/// Fingerprint of [`DesignConfig::fit_key`], the fields the fit stage
+/// depends on. μ and the failure policy are deliberately excluded; they
+/// only affect the solve stage.
+pub(crate) fn fit_fingerprint(design: &DesignConfig) -> u64 {
+    let (omega, intervals, effort_quantile, per_worker_fit_min_reviews) = design.fit_key();
     let mut h = Fnv::new();
-    h.write_f64(design.params.omega);
-    h.write_usize(design.intervals);
-    h.write_f64(design.effort_quantile);
-    match design.per_worker_fit_min_reviews {
+    h.write_u64(omega);
+    h.write_usize(intervals);
+    h.write_u64(effort_quantile);
+    match per_worker_fit_min_reviews {
         Some(n) => {
             h.write_u64(1);
             h.write_usize(n);
@@ -278,7 +325,7 @@ pub(crate) fn fit_fingerprint(design: &dcc_core::DesignConfig) -> u64 {
 /// `DesignConfig` (a flat `Copy` struct, so its `Debug` form is total).
 /// μ and the failure policy *are* covered: they change the solved
 /// contracts.
-pub(crate) fn solve_fingerprint(design: &dcc_core::DesignConfig) -> u64 {
+pub(crate) fn solve_fingerprint(design: &DesignConfig) -> u64 {
     let mut h = Fnv::new();
     h.write_bytes(format!("{design:?}").as_bytes());
     h.finish()
@@ -334,13 +381,25 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_of_the_default_config_are_pinned() {
+        // A `dcc-batch-ckpt/1` file hashes these values into its grid
+        // fingerprint, so changing them refuses every existing file.
+        let base = dcc_core::DesignConfig::default();
+        assert_eq!(fit_fingerprint(&base), 0x65059f9ba25a17b3);
+        assert_eq!(solve_fingerprint(&base), 0x238b1b8f2e5d9847);
+        let mut per_worker = base;
+        per_worker.per_worker_fit_min_reviews = Some(3);
+        assert_eq!(fit_fingerprint(&per_worker), 0x2aecc480f88f69b1);
+    }
+
+    #[test]
     fn memo_roundtrips_entries() {
         let memo = StageMemo::new();
         assert!(memo.is_empty());
         let trace = Arc::new(tiny(1));
         let fp = trace_fingerprint(&trace);
-        memo.insert_trace("synthetic:x".to_string(), Arc::clone(&trace), fp);
-        let (got, got_fp) = memo.get_trace("synthetic:x").expect("trace entry");
+        memo.traces.insert("synthetic:x".to_string(), (Arc::clone(&trace), fp));
+        let (got, got_fp) = memo.traces.get(&"synthetic:x".to_string()).expect("trace entry");
         assert_eq!(got_fp, fp);
         assert_eq!(got.reviews().len(), trace.reviews().len());
         assert_eq!(memo.len(), (1, 0, 0, 0));

@@ -13,11 +13,19 @@
 //! (trace, pipeline, fit-config, design-config) quadruple — μ included,
 //! budget fraction and strategy excluded — solves once, no matter how
 //! many scenarios or how many threads ask for it. In-flight
-//! deduplication uses per-key [`Slot`]s: two workers never compute the
-//! same detection concurrently, and a *panicking* computation resets
-//! its slot instead of wedging it, so a poisoned scenario can neither
-//! block nor contaminate its siblings (values reach the memo only from
+//! deduplication uses one [`RunSlots`] per stage — a per-key [`Slot`]
+//! seeded from the memo: two workers never compute the same detection
+//! concurrently, and a *panicking* computation resets its slot instead
+//! of wedging it, so a poisoned scenario can neither block nor
+//! contaminate its siblings (values reach the memo only from
 //! successfully computed slots).
+//!
+//! A scenario attempt ([`run_attempt`]) calls the stage functions the
+//! engine's default stages wrap — `run_pipeline`, `prepare_design`,
+//! `solve_subproblems` + `assemble_design`, and
+//! `BaselineStrategy::assemble` + `Simulation::run` — so it needs no
+//! engine context, and shared stage outputs are passed by `Arc`, never
+//! cloned per scenario.
 //!
 //! Every scenario runs under supervision
 //! ([`BatchRunner::run_supervised`]): `catch_unwind` panic isolation,
@@ -41,8 +49,8 @@
 use crate::ckpt::{parse_checkpoint, CkptEntry, CkptPayload, CkptWriter, ScenarioSummary};
 use crate::grid::{strategy_label, Scenario, ScenarioGrid, TraceSpec};
 use crate::memo::{
-    fit_fingerprint, pipeline_fingerprint, solve_fingerprint, trace_fingerprint, DetectKey, FitKey,
-    Fnv, MemoStats, SolveKey, StageMemo,
+    fit_fingerprint, pipeline_fingerprint, solve_fingerprint, trace_fingerprint, Fnv, MemoStats,
+    RunSlots, StageMemo,
 };
 use crate::supervisor::{
     panic_message, supervise_attempts, AttemptError, BatchFaultPlan, BatchOutcome, FailureKind,
@@ -50,19 +58,16 @@ use crate::supervisor::{
     WorkBudget,
 };
 use dcc_core::{
-    select_within_budget, BudgetedSelection, ContractDesign, DesignPrep, FailurePolicy,
-    SimulationOutcome,
+    assemble_design, prepare_design, select_within_budget, solve_subproblems, BaselineStrategy,
+    BudgetedSelection, ContractDesign, DesignPrep, FailurePolicy, Simulation, SimulationOutcome,
 };
 use dcc_detect::{run_pipeline, DetectionResult};
-use dcc_engine::{
-    Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, StageKind, TraceSource,
-};
+use dcc_engine::{PoolSize, TraceSource};
 use dcc_obs::{names as obs, AttrValue, Metrics};
 use dcc_trace::{read_trace_columnar, read_trace_csv, TraceDataset};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
@@ -129,8 +134,9 @@ impl Default for BatchOptions {
 /// Everything one successful scenario produced.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
-    /// The assembled contract design at this scenario's μ.
-    pub design: ContractDesign,
+    /// The assembled contract design at this scenario's μ (shared with
+    /// the memo and with every scenario at the same μ).
+    pub design: Arc<ContractDesign>,
     /// Budget-constrained funding selection at
     /// `budget_fraction × full_spend`.
     pub budget: BudgetedSelection,
@@ -387,64 +393,17 @@ impl BatchRunner {
         // Per-key in-flight slots, pre-seeded from the persistent memo.
         // Cache flags are derived from the serial schedule (memo hit at
         // run start, or a lower-id scenario shares the key).
-        let mut detect_slots: BTreeMap<DetectKey, DetectSlot> = BTreeMap::new();
-        let mut fit_slots: BTreeMap<FitKey, FitSlot> = BTreeMap::new();
-        let mut solve_slots: BTreeMap<SolveKey, SolveSlot> = BTreeMap::new();
-        let mut detect_flags = Vec::with_capacity(n);
-        let mut fit_flags = Vec::with_capacity(n);
-        let mut solve_flags = Vec::with_capacity(n);
-        for s in scenarios {
+        let mut detect = RunSlots::new(&self.memo.detect, n);
+        let mut fit = RunSlots::new(&self.memo.fit, n);
+        let mut solve = RunSlots::new(&self.memo.solve, n);
+        for (i, s) in scenarios.iter().enumerate() {
             let Some(Some((_, trace_fp))) = traces.get(s.trace) else {
                 continue;
             };
-            let dk: DetectKey = (*trace_fp, pipeline_fp);
-            let fk: FitKey = (*trace_fp, pipeline_fp, fit_fp);
-            let sk: SolveKey = (*trace_fp, pipeline_fp, fit_fp, scenario_solve_fp(grid, s));
-            let detect_hit = match detect_slots.entry(dk) {
-                std::collections::btree_map::Entry::Occupied(_) => true,
-                std::collections::btree_map::Entry::Vacant(v) => match self.memo.get_detect(&dk) {
-                    Some(value) => {
-                        v.insert(Slot::seeded(value));
-                        true
-                    }
-                    None => {
-                        v.insert(Slot::new());
-                        false
-                    }
-                },
-            };
-            let fit_hit = match fit_slots.entry(fk) {
-                std::collections::btree_map::Entry::Occupied(_) => true,
-                std::collections::btree_map::Entry::Vacant(v) => match self.memo.get_fit(&fk) {
-                    Some(value) => {
-                        v.insert(Slot::seeded(value));
-                        true
-                    }
-                    None => {
-                        v.insert(Slot::new());
-                        false
-                    }
-                },
-            };
-            let solve_hit = match solve_slots.entry(sk) {
-                std::collections::btree_map::Entry::Occupied(_) => true,
-                std::collections::btree_map::Entry::Vacant(v) => match self.memo.get_solve(&sk) {
-                    Some(value) => {
-                        v.insert(Slot::seeded(value));
-                        true
-                    }
-                    None => {
-                        v.insert(Slot::new());
-                        false
-                    }
-                },
-            };
-            detect_flags.push(detect_hit);
-            fit_flags.push(fit_hit);
-            solve_flags.push(solve_hit);
-            stats.detect.record(detect_hit);
-            stats.fit.record(fit_hit);
-            stats.solve.record(solve_hit);
+            let solve_fp = scenario_solve_fp(grid, s);
+            stats.detect.record(detect.claim(i, (*trace_fp, pipeline_fp)));
+            stats.fit.record(fit.claim(i, (*trace_fp, pipeline_fp, fit_fp)));
+            stats.solve.record(solve.claim(i, (*trace_fp, pipeline_fp, fit_fp, solve_fp)));
         }
 
         let workers = resolved_pool(self.options.pool, n);
@@ -453,11 +412,8 @@ impl BatchRunner {
         let stop = AtomicBool::new(false);
 
         let job = |i: usize, scenario: &Scenario| -> Option<ScenarioRecord> {
-            let flags = (
-                detect_flags.get(i).copied().unwrap_or(false),
-                fit_flags.get(i).copied().unwrap_or(false),
-                solve_flags.get(i).copied().unwrap_or(false),
-            );
+            let (detect_cached, fit_cached, solve_cached) =
+                (detect.cached(i), fit.cached(i), solve.cached(i));
             if let Some(entry) = restored.get(&i) {
                 let result = match &entry.payload {
                     CkptPayload::Summary(summary) => {
@@ -469,19 +425,15 @@ impl BatchRunner {
                     scenario: *scenario,
                     result,
                     attempts: entry.attempts,
-                    detect_cached: flags.0,
-                    fit_cached: flags.1,
-                    solve_cached: flags.2,
+                    detect_cached,
+                    fit_cached,
+                    solve_cached,
                     elapsed: Duration::ZERO,
                 });
             }
-            let (trace, trace_fp) = traces.get(scenario.trace)?.as_ref()?;
-            let dk: DetectKey = (*trace_fp, pipeline_fp);
-            let fk: FitKey = (*trace_fp, pipeline_fp, fit_fp);
-            let sk: SolveKey = (*trace_fp, pipeline_fp, fit_fp, scenario_solve_fp(grid, scenario));
-            let detect_slot = detect_slots.get(&dk)?;
-            let fit_slot = fit_slots.get(&fk)?;
-            let solve_slot = solve_slots.get(&sk)?;
+            let (trace, _) = traces.get(scenario.trace)?.as_ref()?;
+            let (detect_slot, fit_slot, solve_slot) =
+                (detect.slot(i)?, fit.slot(i)?, solve.slot(i)?);
             // dcc-lint: allow(wall-clock, reason = "worker-measured scenario duration, recorded post-merge and redacted in deterministic output")
             let t0 = Instant::now();
             let (result, attempts) = supervise_attempts(scenario.id, sup.max_retries, |attempt| {
@@ -501,9 +453,9 @@ impl BatchRunner {
                 scenario: *scenario,
                 result: result.map(ScenarioResult::Computed),
                 attempts,
-                detect_cached: flags.0,
-                fit_cached: flags.1,
-                solve_cached: flags.2,
+                detect_cached,
+                fit_cached,
+                solve_cached,
                 elapsed: t0.elapsed(),
             })
         };
@@ -558,31 +510,9 @@ impl BatchRunner {
             });
         }
 
-        // Publish freshly computed values into the persistent memo so a
-        // later run (or a shared runner) starts warm. Only `Ready`
-        // slots publish — a slot whose computation panicked is `Empty`
-        // again, so a poisoned scenario can never reach the memo.
-        for (key, slot) in &detect_slots {
-            if let Some(value) = slot.peek() {
-                if self.memo.get_detect(key).is_none() {
-                    self.memo.insert_detect(*key, value);
-                }
-            }
-        }
-        for (key, slot) in &fit_slots {
-            if let Some(value) = slot.peek() {
-                if self.memo.get_fit(key).is_none() {
-                    self.memo.insert_fit(*key, value);
-                }
-            }
-        }
-        for (key, slot) in &solve_slots {
-            if let Some(value) = slot.peek() {
-                if self.memo.get_solve(key).is_none() {
-                    self.memo.insert_solve(*key, value);
-                }
-            }
-        }
+        detect.publish();
+        fit.publish();
+        solve.publish();
 
         if stop.load(Ordering::Relaxed) {
             // Killed at the threshold: flush what completed and report
@@ -718,32 +648,19 @@ impl BatchRunner {
                 // Content-addressed: the fingerprint *is* the key, so
                 // the memo only deduplicates the Arc (and the stats
                 // record whether detection/fit state already exists).
-                let fp = trace_fingerprint(trace);
-                let key = format!("provided:{fp:016x}");
-                match self.memo.get_trace(&key) {
-                    Some(entry) => {
-                        stats.trace.record(true);
-                        Ok(entry)
-                    }
-                    None => {
-                        stats.trace.record(false);
-                        let arc = Arc::new(trace.clone());
-                        self.memo.insert_trace(key, Arc::clone(&arc), fp);
-                        Ok((arc, fp))
-                    }
-                }
+                let key = format!("provided:{:016x}", trace_fingerprint(trace));
+                self.resolve_keyed(key, stats, || Ok(trace.clone()))
             }
             TraceSource::Synthetic(config) => {
                 let key = format!("synthetic:{config:?}");
-                self.resolve_keyed(&key, stats, || Ok(config.generate()))
+                self.resolve_keyed(key, stats, || Ok(config.generate()))
             }
             // The memo assumes a CSV directory is immutable for the
             // memo's lifetime (docs/batch.md).
             TraceSource::CsvDir(dir) => {
                 let key = format!("csv:{}", dir.display());
-                let dir = dir.clone();
-                self.resolve_keyed(&key, stats, move || {
-                    read_trace_csv(&dir).map_err(|e| {
+                self.resolve_keyed(key, stats, || {
+                    read_trace_csv(dir).map_err(|e| {
                         BatchError::Spec(format!("cannot read trace {}: {e}", dir.display()))
                     })
                 })
@@ -752,9 +669,8 @@ impl BatchRunner {
             // must not change while the memo is alive.
             TraceSource::Columnar(path) => {
                 let key = format!("col:{}", path.display());
-                let path = path.clone();
-                self.resolve_keyed(&key, stats, move || {
-                    read_trace_columnar(&path)
+                self.resolve_keyed(key, stats, || {
+                    read_trace_columnar(path)
                         .and_then(|col| col.to_dataset())
                         .map_err(|e| {
                             BatchError::Spec(format!("cannot read trace {}: {e}", path.display()))
@@ -766,11 +682,11 @@ impl BatchRunner {
 
     fn resolve_keyed(
         &self,
-        key: &str,
+        key: String,
         stats: &mut MemoStats,
         materialize: impl FnOnce() -> Result<TraceDataset, BatchError>,
     ) -> Result<(Arc<TraceDataset>, u64), BatchError> {
-        match self.memo.get_trace(key) {
+        match self.memo.traces.get(&key) {
             Some(entry) => {
                 stats.trace.record(true);
                 Ok(entry)
@@ -779,7 +695,7 @@ impl BatchRunner {
                 stats.trace.record(false);
                 let trace = Arc::new(materialize()?);
                 let fp = trace_fingerprint(&trace);
-                self.memo.insert_trace(key.to_string(), Arc::clone(&trace), fp);
+                self.memo.traces.insert(key, (Arc::clone(&trace), fp));
                 Ok((trace, fp))
             }
         }
@@ -926,10 +842,10 @@ fn resolved_pool(pool: PoolSize, n: usize) -> usize {
 }
 
 /// Runs one supervised attempt of a scenario against pre-resolved
-/// shared state, reproducing a serial engine run bit-exactly: the
-/// pre-seeded detection and fit are the same values `Engine::run_to`
-/// would compute, and the solve / construct / simulate stages run
-/// through the engine itself.
+/// shared state, reproducing a serial engine run bit-exactly: each
+/// stage calls the `dcc-detect` / `dcc-core` function the engine's
+/// default stage wraps, with a sequential solve and a fault-free
+/// simulation.
 ///
 /// The whole attempt runs under `catch_unwind`, and each stage charges
 /// its *data-derived* work cost **before** consulting the shared slot
@@ -949,15 +865,14 @@ fn run_attempt(
     budget_units: Option<u64>,
 ) -> Result<ScenarioOutcome, AttemptError> {
     let body = || -> Result<ScenarioOutcome, AttemptError> {
+        let error = |e: dcc_core::CoreError| AttemptError::Error(e.to_string());
         let mut budget = WorkBudget::new(budget_units);
         let mut design = grid.design;
         design.params.mu = scenario.mu;
         // Fail exactly where (and with exactly the message) a fresh
         // engine run would: prepare_design validates the config before
         // fitting.
-        design
-            .validate()
-            .map_err(|e| AttemptError::Error(e.to_string()))?;
+        design.validate().map_err(error)?;
 
         let reviews = trace.reviews().len() as u64;
         budget.charge("detect", reviews)?;
@@ -974,7 +889,7 @@ fn run_attempt(
         let prep = fit_slot
             .get_or_compute(|| {
                 faults.fire_in_stage(scenario.id, attempt, FaultPoint::Fit);
-                dcc_core::prepare_design(trace, &detection, &design)
+                prepare_design(trace, &detection, &design)
                     .map(Arc::new)
                     .map_err(|e| e.to_string())
             })
@@ -986,35 +901,20 @@ fn run_attempt(
             (prep.subproblems.len() as u64).saturating_mul(design.intervals as u64),
         )?;
         faults.fire_at(scenario.id, attempt, FaultPoint::Solve)?;
-
-        // The source is a placeholder: trace/detection/prep (and, on a
-        // solve-memo hit, the solved design) are pre-seeded in stage
-        // order — each setter invalidates only later stages — so the
-        // skipped stages never run and ingest never reads the source.
-        let make_ctx = || {
-            let mut config = EngineConfig::for_source(TraceSource::CsvDir(PathBuf::new()));
-            config.pipeline = grid.pipeline;
-            config.design = design;
-            config.pool = PoolSize::Sequential;
-            config.strategy = scenario.strategy;
-            if let Some(sim) = grid.sim {
-                config.sim = sim;
-            }
-            let mut ctx = RoundContext::new(config);
-            ctx.set_trace((**trace).clone());
-            ctx.set_detection((*detection).clone());
-            ctx.set_prep((*prep).clone());
-            ctx
-        };
-
+        // Scenario fan-out is the parallelism, so the solve runs on the
+        // calling thread (bit-identical to any pool size).
         let designed = solve_slot
             .get_or_compute(|| {
                 faults.fire_in_stage(scenario.id, attempt, FaultPoint::Solve);
-                let mut ctx = make_ctx();
-                Engine::new()
-                    .run_to(&mut ctx, StageKind::ConstructContracts)
-                    .map_err(|e| e.to_string())?;
-                ctx.design().map(|d| Arc::new(d.clone())).map_err(|e| e.to_string())
+                let (solution, degradation) = solve_subproblems(
+                    &prep.subproblems,
+                    &design.params,
+                    1,
+                    design.failure_policy,
+                    &Metrics::noop(),
+                )
+                .map_err(|e| e.to_string())?;
+                Ok(Arc::new(assemble_design(&detection, &prep, solution, degradation)))
             })
             .map_err(AttemptError::Panic)?
             .map_err(AttemptError::Error)?;
@@ -1027,36 +927,24 @@ fn run_attempt(
             .sum();
         let selection =
             select_within_budget(&designed.solution, scenario.budget_fraction * full_spend)
-                .map_err(|e| AttemptError::Error(e.to_string()))?;
+                .map_err(error)?;
         let sim = if let Some(sim_config) = grid.sim {
             budget.charge(
                 "simulate",
                 (sim_config.rounds as u64).saturating_mul(designed.agents.len() as u64),
             )?;
             faults.fire_at(scenario.id, attempt, FaultPoint::Simulate)?;
-            let mut ctx = make_ctx();
-            ctx.set_solution(designed.solution.clone(), designed.degradation.clone());
-            ctx.set_design((*designed).clone());
-            Engine::new()
-                .run_to(&mut ctx, StageKind::Simulate)
-                .map_err(|e| AttemptError::Error(e.to_string()))?;
-            match ctx
-                .sim_outcome()
-                .map_err(|e| AttemptError::Error(e.to_string()))?
-            {
-                EngineSimOutcome::Completed { outcome, .. } => Some(outcome.clone()),
-                EngineSimOutcome::Killed { at_round, .. } => {
-                    return Err(AttemptError::Error(format!(
-                        "scenario simulation killed at round {at_round}"
-                    )));
-                }
-            }
+            let suspected: BTreeSet<_> = detection.suspected.iter().copied().collect();
+            let agents = BaselineStrategy::new(scenario.strategy)
+                .assemble(&designed, design.params.omega, &suspected, trace)
+                .map_err(error)?;
+            Some(Simulation::new(design.params, sim_config).run(&agents).map_err(error)?)
         } else {
             None
         };
 
         Ok(ScenarioOutcome {
-            design: (*designed).clone(),
+            design: designed,
             budget: selection,
             full_spend,
             sim,
@@ -1077,6 +965,7 @@ mod tests {
     use crate::supervisor::{CheckpointConfig, FaultMode, ScenarioFault};
     use dcc_core::StrategyKind;
     use dcc_trace::SyntheticConfig;
+    use std::path::PathBuf;
 
     fn tiny(seed: u64) -> TraceDataset {
         let mut cfg = SyntheticConfig::small(seed);
@@ -1207,6 +1096,24 @@ mod tests {
             .map(|r| r.outcome().unwrap().budget.spend)
             .collect();
         assert!(spends[0] <= spends[1] && spends[1] <= spends[2]);
+    }
+
+    #[test]
+    fn scenarios_sharing_a_mu_share_one_design_allocation() {
+        let mut grid = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0]);
+        grid.budget_fractions = vec![0.5, 1.0];
+        let runner = BatchRunner::new();
+        let design_of = |report: &BatchReport, i: usize| {
+            Arc::clone(&report.records[i].outcome().unwrap().design)
+        };
+        let cold = runner.run(&grid).expect("cold run");
+        // Records expand μ-major: (1.5, 0.5), (1.5, 1.0), (1.0, 0.5), (1.0, 1.0).
+        assert!(Arc::ptr_eq(&design_of(&cold, 0), &design_of(&cold, 1)));
+        assert!(Arc::ptr_eq(&design_of(&cold, 2), &design_of(&cold, 3)));
+        assert!(!Arc::ptr_eq(&design_of(&cold, 0), &design_of(&cold, 2)));
+        // A warm rerun hands out the memo's allocation, not a copy.
+        let warm = runner.run(&grid).expect("warm run");
+        assert!(Arc::ptr_eq(&design_of(&cold, 0), &design_of(&warm, 1)));
     }
 
     #[test]

@@ -83,6 +83,20 @@ impl DesignConfig {
         }
         Ok(())
     }
+
+    /// The fields the fit ([`prepare_design`]) depends on — ω,
+    /// intervals, effort quantile and the per-worker fit threshold — as
+    /// an exact key (floats by bit pattern). Two configs with equal keys
+    /// fit the same ψ-functions and decomposition; μ, β and the failure
+    /// policy only affect the solve.
+    pub fn fit_key(&self) -> (u64, usize, u64, Option<usize>) {
+        (
+            self.params.omega.to_bits(),
+            self.intervals,
+            self.effort_quantile.to_bits(),
+            self.per_worker_fit_min_reviews,
+        )
+    }
 }
 
 /// The contract assigned to one worker by [`design_contracts`].
@@ -530,13 +544,14 @@ pub fn assemble_design(
 ) -> ContractDesign {
     let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
     let partner_counts = detection.collusion.partner_counts();
-    let delta_of = |sp_id: usize| {
-        prep.subproblems
-            .iter()
-            .find(|sp| sp.id == sp_id)
-            .map(|sp| sp.disc.delta())
-            .unwrap_or(0.0)
-    };
+    // One map for all solutions, not a scan of the subproblems per
+    // solution. The first subproblem with an id wins; a missing id
+    // gives 0.0.
+    let mut delta_by_id = BTreeMap::new();
+    for sp in &prep.subproblems {
+        delta_by_id.entry(sp.id).or_insert_with(|| sp.disc.delta());
+    }
+    let delta_of = |sp_id: usize| delta_by_id.get(&sp_id).copied().unwrap_or(0.0);
     let mut agents = Vec::with_capacity(solution.solutions.len());
     for sol in &solution.solutions {
         let share = sol.members.len().max(1) as f64;

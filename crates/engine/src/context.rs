@@ -158,23 +158,6 @@ pub struct RoundContext {
     /// whose output is currently cached. Surfaced as the `cause`
     /// attribute on stage spans.
     causes: [Option<&'static str>; 6],
-    /// Workers whose inputs changed since the dirty set was last drained
-    /// — the fine-grained counterpart of the per-stage invalidation,
-    /// maintained by [`RoundContext::set_trace_incremental`] /
-    /// [`RoundContext::mark_workers_dirty`] for incremental consumers
-    /// (the streaming service) that re-run detection/fit/solve work only
-    /// for affected workers.
-    dirty_workers: std::collections::BTreeSet<dcc_trace::ReviewerId>,
-}
-
-/// The inputs of the fit stage that, when changed, force a refit.
-fn fit_key(design: &DesignConfig) -> (u64, usize, u64, Option<usize>) {
-    (
-        design.params.omega.to_bits(),
-        design.intervals,
-        design.effort_quantile.to_bits(),
-        design.per_worker_fit_min_reviews,
-    )
 }
 
 impl RoundContext {
@@ -189,7 +172,6 @@ impl RoundContext {
             design: None,
             sim_outcome: None,
             causes: [None; 6],
-            dirty_workers: std::collections::BTreeSet::new(),
         }
     }
 
@@ -335,45 +317,6 @@ impl RoundContext {
         self.invalidate_after(StageKind::Ingest);
     }
 
-    /// Publishes an incrementally-evolved trace: like
-    /// [`RoundContext::set_trace`], but attributes the downstream
-    /// invalidation to `trace_delta` and records exactly which workers'
-    /// inputs changed, so an incremental consumer can re-run
-    /// detection/fit/solve work only for the affected subproblems
-    /// (drained via [`RoundContext::take_dirty_workers`]).
-    pub fn set_trace_incremental(
-        &mut self,
-        trace: TraceDataset,
-        dirty: impl IntoIterator<Item = dcc_trace::ReviewerId>,
-    ) {
-        self.trace = Some(trace);
-        self.causes[StageKind::Ingest.index()] = None;
-        for k in StageKind::ALL {
-            if k.index() > StageKind::Ingest.index() {
-                self.clear_with(k, "trace_delta");
-            }
-        }
-        self.mark_workers_dirty(dirty);
-    }
-
-    /// Adds workers to the dirty set without touching any cache slot —
-    /// for callers accumulating deltas across several mutations before
-    /// one recompute.
-    pub fn mark_workers_dirty(&mut self, workers: impl IntoIterator<Item = dcc_trace::ReviewerId>) {
-        self.dirty_workers.extend(workers);
-    }
-
-    /// The workers currently marked dirty, in id order.
-    pub fn dirty_workers(&self) -> &std::collections::BTreeSet<dcc_trace::ReviewerId> {
-        &self.dirty_workers
-    }
-
-    /// Drains and returns the dirty-worker set — called once per
-    /// incremental recompute so the next round starts clean.
-    pub fn take_dirty_workers(&mut self) -> std::collections::BTreeSet<dcc_trace::ReviewerId> {
-        std::mem::take(&mut self.dirty_workers)
-    }
-
     /// Publishes the detect output, invalidating later stages.
     pub fn set_detection(&mut self, detection: DetectionResult) {
         self.detection = Some(detection);
@@ -427,9 +370,10 @@ impl RoundContext {
 
     /// Replaces the design configuration.
     ///
-    /// Invalidation is precise: only when a *fit-relevant* field changes
-    /// (`params.omega`, `intervals`, `effort_quantile`,
-    /// `per_worker_fit_min_reviews`) are the cached ψ-fits discarded;
+    /// Invalidation is precise: only when
+    /// [`DesignConfig::fit_key`] changes (`params.omega`, `intervals`,
+    /// `effort_quantile`, `per_worker_fit_min_reviews`) are the cached
+    /// ψ-fits discarded;
     /// any other change (μ, β, failure policy, …) re-solves from
     /// [`StageKind::SolveSubproblems`] and reuses the fits.
     pub fn set_design_config(&mut self, design: DesignConfig) {
@@ -437,7 +381,7 @@ impl RoundContext {
     }
 
     fn set_design_config_cause(&mut self, design: DesignConfig, cause: &'static str) {
-        if fit_key(&self.config.design) != fit_key(&design) {
+        if self.config.design.fit_key() != design.fit_key() {
             self.config.design = design;
             self.invalidate_from_cause(StageKind::FitEffort, cause);
         } else if self.config.design != design {

@@ -364,14 +364,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "invalid utf-8"))?;
-                let Some(c) = rest.chars().next() else {
-                    return Err(err(*pos, "unterminated string"));
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole unescaped run at once: it ends at an
+                // ASCII `"` or `\\`, so the slice stays on a character
+                // boundary, and each byte is validated exactly once.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err(start, "invalid utf-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -453,6 +455,22 @@ mod tests {
     #[test]
     fn malformed_inputs_are_rejected() {
         for bad in ["", "{", "[1,", "\"open", "{\"a\" 1}", "nul", "1 2", "[1]extra"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn multi_byte_characters_next_to_escapes_round_trip() {
+        for s in ["é\"ü\\n", "é\"ü\n", "\\é", "日本\t語\"", "\"é", "ü"] {
+            let doc = Json::Str(s.into());
+            let text = doc.to_string();
+            assert_eq!(Json::parse(&text).unwrap(), doc, "{text}");
+        }
+        assert_eq!(
+            Json::parse(r#""é\"ü\\né""#).unwrap(),
+            Json::Str("é\"ü\\né".into())
+        );
+        for bad in ["\"é", "\"é\\", "\"ü\\q\""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
     }
