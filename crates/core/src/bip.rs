@@ -200,13 +200,16 @@ pub fn solve_subproblems(
 
     metrics.gauge(names::GAUGE_SOLVE_POOL, workers as f64);
     metrics.add(names::COUNTER_SOLVE_SUBPROBLEMS, subproblems.len() as u64);
-    for ((sp, sol), elapsed) in subproblems.iter().zip(&solution.solutions).zip(&times) {
+    for (sp, elapsed) in subproblems.iter().zip(&times) {
         let degraded = report.for_subproblem(sp.id).is_some();
+        // A built contract evaluated the zero contract and one candidate
+        // per interval; a degraded one evaluated none.
+        let iterations = if degraded { 0 } else { sp.disc.intervals() + 1 };
         metrics.span_at(
             names::SPAN_SUBPROBLEM,
             &[
                 ("id", sp.id.into()),
-                ("iterations", sol.built.diagnostics().len().into()),
+                ("iterations", iterations.into()),
                 ("degraded", degraded.into()),
             ],
             *elapsed,

@@ -3,21 +3,6 @@ use crate::{
 };
 use dcc_numerics::Quadratic;
 
-/// Diagnostics of one candidate contract evaluated during the search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CandidateDiagnostics {
-    /// Target interval `k` (`None` for the zero-contract candidate).
-    pub k: Option<usize>,
-    /// The worker's actual best-response effort under the candidate.
-    pub effort: f64,
-    /// Compensation the requester pays at that response.
-    pub compensation: f64,
-    /// Requester utility `w·q − μ·c` at that response.
-    pub requester_utility: f64,
-    /// Whether the slope recurrence needed clamping (large ω).
-    pub clamped: bool,
-}
-
 /// The outcome of the §IV-C contract construction for one worker (or one
 /// collusive community treated as a meta-worker).
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +12,6 @@ pub struct BuiltContract {
     response: BestResponse,
     requester_utility: f64,
     weight: f64,
-    diagnostics: Vec<CandidateDiagnostics>,
     utility_bounds: Option<(f64, f64)>,
 }
 
@@ -74,12 +58,6 @@ impl BuiltContract {
         self.weight
     }
 
-    /// Per-candidate diagnostics (one entry per evaluated `k`, plus the
-    /// zero contract), in evaluation order.
-    pub fn diagnostics(&self) -> &[CandidateDiagnostics] {
-        &self.diagnostics
-    }
-
     /// The Theorem 4.1 bracket `(lower, upper)` on the requester utility,
     /// when a non-zero candidate was selected for an honest worker
     /// (`ω = 0`); `None` for the zero contract (the theorem speaks about
@@ -91,7 +69,7 @@ impl BuiltContract {
     /// Internal constructor for degraded-mode results: a contract that
     /// did *not* come out of the §IV-C search (a fixed-payment fallback
     /// or an exclusion) with caller-supplied conservative accounting. No
-    /// diagnostics, no `k_opt`, no Theorem 4.1 bracket.
+    /// `k_opt`, no Theorem 4.1 bracket.
     pub(crate) fn degraded(
         contract: Contract,
         response: BestResponse,
@@ -104,7 +82,6 @@ impl BuiltContract {
             response,
             requester_utility,
             weight,
-            diagnostics: Vec::new(),
             utility_bounds: None,
         }
     }
@@ -138,7 +115,6 @@ pub struct ContractBuilder {
     disc: Discretization,
     psi: Quadratic,
     weight: f64,
-    include_zero: bool,
     margin: f64,
 }
 
@@ -153,7 +129,6 @@ impl ContractBuilder {
             disc,
             psi,
             weight: 1.0,
-            include_zero: true,
             margin: 0.0,
         }
     }
@@ -188,14 +163,6 @@ impl ContractBuilder {
         self
     }
 
-    /// Whether to also evaluate the zero contract (paying nothing) as a
-    /// candidate; defaults to `true`. Disable to force the algorithm to
-    /// pick one of the paper's `ξ^(k)` candidates even at a loss.
-    pub fn include_zero_candidate(mut self, include: bool) -> Self {
-        self.include_zero = include;
-        self
-    }
-
     /// Runs the search and returns the best contract.
     ///
     /// # Errors
@@ -212,43 +179,16 @@ impl ContractBuilder {
         self.params.validate()?;
         crate::effort::validate_effort_function(&self.psi, &self.disc)?;
 
-        let mut diagnostics = Vec::with_capacity(self.disc.intervals() + 1);
-        let mut best: Option<(Option<usize>, Contract, BestResponse, f64, bool)> = None;
-
-        let mut consider = |k: Option<usize>,
-                            contract: Contract,
-                            clamped: bool,
-                            best: &mut Option<(Option<usize>, Contract, BestResponse, f64, bool)>|
-         -> Result<(), CoreError> {
+        let weigh = |contract: Contract| -> Result<(Contract, BestResponse, f64), CoreError> {
             let response = best_response(&self.params, &self.psi, &contract)?;
             let utility = self.weight * response.feedback - self.params.mu * response.compensation;
-            diagnostics.push(CandidateDiagnostics {
-                k,
-                effort: response.effort,
-                compensation: response.compensation,
-                requester_utility: utility,
-                clamped,
-            });
-            let better = match best {
-                None => true,
-                Some((_, _, prev_resp, prev_u, _)) => {
-                    utility > *prev_u + 1e-12
-                        || (utility > *prev_u - 1e-12
-                            && response.compensation < prev_resp.compensation - 1e-12)
-                }
-            };
-            if better {
-                *best = Some((k, contract, response, utility, clamped));
-            }
-            Ok(())
+            Ok((contract, response, utility))
         };
-
-        if self.include_zero {
-            let d_lo = self.psi.eval(0.0);
-            let d_hi = self.psi.eval(self.disc.y_max());
-            let zero = Contract::zero(d_lo, d_hi)?;
-            consider(None, zero, false, &mut best)?;
-        }
+        // The zero contract (paying nothing) is always a candidate, so a
+        // worker is never incentivized at a loss.
+        let zero = Contract::zero(self.psi.eval(0.0), self.psi.eval(self.disc.y_max()))?;
+        let (mut contract, mut response, mut requester_utility) = weigh(zero)?;
+        let mut k_opt = None;
         for k in 1..=self.disc.intervals() {
             let cand = crate::build_candidate_with_margin(
                 &self.params,
@@ -257,13 +197,13 @@ impl ContractBuilder {
                 k,
                 self.margin,
             )?;
-            consider(Some(k), cand.contract, cand.clamped, &mut best)?;
+            let (c, r, u) = weigh(cand.contract)?;
+            if u > requester_utility + 1e-12
+                || (u > requester_utility - 1e-12 && r.compensation < response.compensation - 1e-12)
+            {
+                (k_opt, contract, response, requester_utility) = (Some(k), c, r, u);
+            }
         }
-
-        let (k_opt, contract, response, requester_utility, _) =
-            best.ok_or_else(|| {
-            CoreError::InvalidContract("no candidate contract could be evaluated".into())
-        })?;
         let utility_bounds = match k_opt {
             Some(k) if dcc_numerics::exact_eq(self.params.omega, 0.0) => Some((
                 bounds::requester_utility_lower_bound(
@@ -289,7 +229,6 @@ impl ContractBuilder {
             response,
             requester_utility,
             weight: self.weight,
-            diagnostics,
             utility_bounds,
         })
     }
@@ -332,16 +271,20 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_cover_all_candidates() {
+    fn selection_is_the_best_of_all_candidates() {
+        // Evaluate the zero contract and every ξ^(k) independently: the
+        // builder must select the maximum requester utility among them.
         let (params, disc, psi) = setup();
+        let params = ModelParams { omega: 0.0, ..params };
         let built = ContractBuilder::new(params, disc, psi).honest().build().unwrap();
-        assert_eq!(built.diagnostics().len(), disc.intervals() + 1);
-        // The selected utility matches the best diagnostic.
-        let best = built
-            .diagnostics()
-            .iter()
-            .map(|d| d.requester_utility)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let utility = |contract: &Contract| {
+            let r = best_response(&params, &psi, contract).unwrap();
+            r.feedback - params.mu * r.compensation
+        };
+        let zero = Contract::zero(psi.eval(0.0), psi.eval(disc.y_max())).unwrap();
+        let best = (1..=disc.intervals())
+            .map(|k| utility(&crate::build_candidate(&params, &disc, &psi, k).unwrap().contract))
+            .fold(utility(&zero), f64::max);
         assert!((best - built.requester_utility()).abs() < 1e-9);
     }
 

@@ -164,11 +164,8 @@ impl ContractDesign {
 
 /// Chooses a per-class effort region: the `quantile` of observed efforts,
 /// clamped to stay strictly below the fitted peak (the model needs ψ
-/// increasing on the whole region). Public so incremental callers that
-/// refit a class through
-/// [`fit_effort_function_with_candidate`](crate::fit_effort_function_with_candidate)
-/// can derive the matching discretization bit-identically.
-pub fn effort_region(
+/// increasing on the whole region).
+pub(crate) fn effort_region(
     points: &[(f64, f64)],
     psi: &Quadratic,
     quantile: f64,
@@ -205,9 +202,9 @@ pub struct DesignPrep {
 
 /// The `(mean effort, mean feedback)` observation point of one worker,
 /// or `None` for a worker with no reviews — the per-worker input of the
-/// §IV-B class fits, shared by the batch [`collect_class_points`] and by
-/// incremental callers that cache points per worker and recompute only
-/// workers whose review history changed.
+/// §IV-B class fits, which [`collect_class_points`] groups. Incremental
+/// callers cache it per worker and recompute only workers whose review
+/// history changed.
 pub fn worker_observation_point(trace: &TraceDataset, worker: ReviewerId) -> Option<(f64, f64)> {
     let reviews = trace.reviews_by(worker);
     if reviews.is_empty() {
@@ -237,9 +234,16 @@ pub struct ClassPoints {
     pub worker_points: BTreeMap<ReviewerId, (f64, f64)>,
 }
 
-/// Collects the observation points of every reviewing worker and groups
-/// them by detection class — step 1 of [`prepare_design`].
-pub fn collect_class_points(trace: &TraceDataset, detection: &DetectionResult) -> ClassPoints {
+/// Groups the observation point of every reviewing worker by detection
+/// class — step 1 of [`prepare_design`]. `point_of` gives a worker's
+/// point, `None` for a worker without reviews: [`prepare_design`] passes
+/// [`worker_observation_point`], an incremental caller its per-worker
+/// cache of the same values.
+pub fn collect_class_points(
+    trace: &TraceDataset,
+    detection: &DetectionResult,
+    point_of: impl Fn(ReviewerId) -> Option<(f64, f64)>,
+) -> ClassPoints {
     let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
     let in_community: BTreeSet<ReviewerId> = detection
         .collusion
@@ -251,7 +255,7 @@ pub fn collect_class_points(trace: &TraceDataset, detection: &DetectionResult) -
 
     let mut points = ClassPoints::default();
     for reviewer in trace.reviewers() {
-        let Some((eff, fb)) = worker_observation_point(trace, reviewer.id) else {
+        let Some((eff, fb)) = point_of(reviewer.id) else {
             continue;
         };
         points.worker_points.insert(reviewer.id, (eff, fb));
@@ -309,6 +313,17 @@ impl ClassModels {
     }
 }
 
+/// Fits one class's effort function over `points` and discretizes its
+/// effort region.
+fn fit_class(points: &[(f64, f64)], config: &DesignConfig) -> Result<ClassModel, CoreError> {
+    let fit = fit_effort_function(points)?;
+    let disc = Discretization::covering(
+        config.intervals,
+        effort_region(points, &fit.psi, config.effort_quantile)?,
+    )?;
+    Ok(ClassModel { fit, disc })
+}
+
 /// Fits the honest class model from its observation points.
 ///
 /// # Errors
@@ -316,12 +331,7 @@ impl ClassModels {
 /// Propagates fitting failures, including traces whose honest class has
 /// fewer than 3 observation points.
 pub fn fit_honest_model(points: &ClassPoints, config: &DesignConfig) -> Result<ClassModel, CoreError> {
-    let fit = fit_effort_function(&points.honest)?;
-    let disc = Discretization::covering(
-        config.intervals,
-        effort_region(&points.honest, &fit.psi, config.effort_quantile)?,
-    )?;
-    Ok(ClassModel { fit, disc })
+    fit_class(&points.honest, config)
 }
 
 /// Fits the non-collusive-malicious class model, falling back to the
@@ -336,12 +346,7 @@ pub fn fit_ncm_model(
     honest: &ClassModel,
 ) -> Result<ClassModel, CoreError> {
     if points.ncm.len() >= 3 {
-        let fit = fit_effort_function(&points.ncm)?;
-        let disc = Discretization::covering(
-            config.intervals,
-            effort_region(&points.ncm, &fit.psi, config.effort_quantile)?,
-        )?;
-        Ok(ClassModel { fit, disc })
+        fit_class(&points.ncm, config)
     } else {
         Ok(honest.clone())
     }
@@ -360,12 +365,7 @@ pub fn fit_cm_model(
     ncm: &ClassModel,
 ) -> Result<ClassModel, CoreError> {
     if points.community.len() >= 3 {
-        let fit = fit_effort_function(&points.community)?;
-        let disc = Discretization::covering(
-            config.intervals,
-            effort_region(&points.community, &fit.psi, config.effort_quantile)?,
-        )?;
-        Ok(ClassModel { fit, disc })
+        fit_class(&points.community, config)
     } else if points.cm.len() >= 3 {
         Ok(ClassModel {
             fit: fit_effort_function(&points.cm)?,
@@ -377,10 +377,10 @@ pub fn fit_cm_model(
 }
 
 /// Fits all three class models — step 2 of [`prepare_design`]. The
-/// per-class functions are public so an incremental caller can refit
-/// *only the classes whose points changed*, chaining through the
-/// fallback dependencies (honest → ncm → cm) and matching this batch
-/// path bit-for-bit.
+/// per-class functions are public so an incremental caller (`dcc
+/// serve`) can refit *only the classes whose points changed*, chaining
+/// through the fallback dependencies (honest → ncm → cm) through these
+/// same functions.
 ///
 /// # Errors
 ///
@@ -439,19 +439,7 @@ pub fn decompose_design(
                         .iter()
                         .map(|r| (trace.effort_of(r), trace.feedback_of(r)))
                         .collect();
-                    fit_effort_function(&points).ok().and_then(|fit| {
-                        let efforts: Vec<f64> = points.iter().map(|p| p.0).collect();
-                        let q = percentile(&efforts, config.effort_quantile).ok()?;
-                        let peak = fit.psi.peak().unwrap_or(f64::INFINITY);
-                        let y_max = q.min(0.9 * peak);
-                        if y_max > 0.0 {
-                            Discretization::covering(config.intervals, y_max)
-                                .ok()
-                                .map(|d| (fit.psi, d))
-                        } else {
-                            None
-                        }
-                    })
+                    fit_class(&points, config).ok().map(|m| (m.fit.psi, m.disc))
                 } else {
                     None
                 }
@@ -525,7 +513,7 @@ pub fn prepare_design(
     config: &DesignConfig,
 ) -> Result<DesignPrep, CoreError> {
     config.validate()?;
-    let points = collect_class_points(trace, detection);
+    let points = collect_class_points(trace, detection, |id| worker_observation_point(trace, id));
     let models = fit_class_models(&points, config)?;
     decompose_design(trace, detection, config, &points, &models)
 }

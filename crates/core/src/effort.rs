@@ -76,34 +76,6 @@ pub fn fit_effort_function(points: &[(f64, f64)]) -> Result<EffortFit, CoreError
     let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
     let poly = polyfit(&xs, &ys, 2)?;
     let candidate = Quadratic::new(poly.coefficient(2), poly.coefficient(1), poly.coefficient(0));
-    fit_effort_function_with_candidate(points, candidate)
-}
-
-/// [`fit_effort_function`] with the unconstrained quadratic candidate
-/// supplied by the caller — the entry point for incremental refitting,
-/// where the candidate comes from streaming normal-equation sums
-/// ([`dcc_numerics::IncrementalQuadraticFit`], bit-identical to
-/// `polyfit(xs, ys, 2)` under append-only updates) instead of a fresh
-/// least-squares solve. The acceptance test, linear fallback, and NoR
-/// diagnostics are shared, so both paths produce bit-identical
-/// [`EffortFit`]s for the same points.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] on fewer than 3 points and
-/// propagates numeric failures.
-pub fn fit_effort_function_with_candidate(
-    points: &[(f64, f64)],
-    candidate: Quadratic,
-) -> Result<EffortFit, CoreError> {
-    if points.len() < 3 {
-        return Err(CoreError::InvalidInput(format!(
-            "need at least 3 observation points, got {}",
-            points.len()
-        )));
-    }
-    let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
     let x_max = xs.iter().copied().fold(0.0f64, f64::max);
 
     let psi = if candidate.r2() < 0.0
@@ -229,29 +201,6 @@ mod tests {
     #[test]
     fn fit_requires_three_points() {
         assert!(fit_effort_function(&[(1.0, 1.0), (2.0, 2.0)]).is_err());
-        assert!(fit_effort_function_with_candidate(
-            &[(1.0, 1.0), (2.0, 2.0)],
-            Quadratic::new(-0.1, 1.0, 0.0)
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn incremental_candidate_path_is_bit_identical() {
-        // A candidate built from streaming normal-equation sums must give
-        // the exact same EffortFit as the batch polyfit path — the serve
-        // correctness contract at the fitting layer.
-        let trace = SyntheticConfig::small(3).generate();
-        let points = trace.effort_feedback_points(dcc_trace::WorkerClass::Honest);
-        let batch = fit_effort_function(&points).unwrap();
-        let inc = dcc_numerics::IncrementalQuadraticFit::from_points(&points);
-        let candidate = inc.fit().unwrap();
-        let streamed = fit_effort_function_with_candidate(&points, candidate).unwrap();
-        assert_eq!(batch.psi.r2().to_bits(), streamed.psi.r2().to_bits());
-        assert_eq!(batch.psi.r1().to_bits(), streamed.psi.r1().to_bits());
-        assert_eq!(batch.psi.r0().to_bits(), streamed.psi.r0().to_bits());
-        assert_eq!(batch.nor.to_bits(), streamed.nor.to_bits());
-        assert_eq!(batch.points, streamed.points);
     }
 
     #[test]

@@ -82,19 +82,17 @@ pub use bip::{
     solve_subproblems, BipSolution, DegradationAction, DegradationReport, DegradedSubproblem,
     FailurePolicy, Subproblem, SubproblemSolution,
 };
-pub use builder::{BuiltContract, CandidateDiagnostics, ContractBuilder};
+pub use builder::{BuiltContract, ContractBuilder};
 pub use candidate::{build_candidate, build_candidate_with_margin, Candidate};
 pub use cases::{case_of_slope, interval_optimum, SlopeCase};
 pub use contract::Contract;
 pub use design::{
-    assemble_design, collect_class_points, decompose_design, design_contracts, effort_region,
-    fit_class_models,
+    assemble_design, collect_class_points, decompose_design, design_contracts, fit_class_models,
     fit_cm_model, fit_honest_model, fit_ncm_model, prepare_design, worker_observation_point,
     AgentContract, ClassModel, ClassModels, ClassPoints, ContractDesign, DesignConfig, DesignPrep,
 };
 pub use effort::{
-    fit_class_effort, fit_effort_function, fit_effort_function_with_candidate, nor_table,
-    validate_effort_function, EffortFit,
+    fit_class_effort, fit_effort_function, nor_table, validate_effort_function, EffortFit,
 };
 pub use error::{CoreError, IoSource};
 pub use optimal::{exhaustive_best_utility, first_best_utility, incentive_cost};

@@ -31,7 +31,6 @@
 
 mod cmp;
 mod error;
-mod incremental;
 mod json;
 mod linsolve;
 mod matrix;
@@ -44,7 +43,6 @@ mod stats;
 
 pub use cmp::{approx_eq, exact_eq, exact_ne};
 pub use error::NumericsError;
-pub use incremental::IncrementalQuadraticFit;
 pub use json::{Json, JsonError};
 pub use linsolve::{solve_cholesky, solve_gaussian};
 pub use matrix::Matrix;

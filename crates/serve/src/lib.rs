@@ -14,7 +14,7 @@
 //! - consensus slots only for products with new reviews,
 //! - `e_mal` / Eq. 5 weights only for workers whose dependencies moved,
 //! - collusive communities via a streaming union-find instead of DFS,
-//! - class ψ refits via streaming normal equations, only for classes
+//! - class ψ refits through the batch fit functions, only for classes
 //!   whose observation points changed,
 //! - subproblem solves only when their bitwise input fingerprint
 //!   changed.

@@ -14,9 +14,9 @@
 //!   [`UnionFind`] (one `push` per suspect at join, unions only over
 //!   dirty products) instead of a from-scratch DFS;
 //! - class ψ fits re-run only for classes whose observation points
-//!   changed, through streaming normal-equation sums
-//!   ([`IncrementalQuadraticFit`]) feeding the shared acceptance logic
-//!   ([`fit_effort_function_with_candidate`]);
+//!   changed, through the batch [`fit_honest_model`] /
+//!   [`fit_ncm_model`] / [`fit_cm_model`]; unchanged classes reuse the
+//!   cached model;
 //! - subproblems re-solve only when their bitwise input fingerprint
 //!   (members, ω, weight, ψ, discretization, model parameters) changed;
 //!   cached solutions are reused with their positional ids re-patched.
@@ -27,17 +27,16 @@
 //! property-wise at every round boundary.
 
 use dcc_core::{
-    assemble_design, decompose_design, effort_region, fit_effort_function,
-    fit_effort_function_with_candidate, solve_subproblems, BipSolution, ClassModel, ClassModels,
-    ClassPoints, ContractDesign, CoreError, DegradationReport, DegradedSubproblem, DesignConfig,
-    DesignPrep, Discretization, EffortFit, SubproblemSolution,
+    assemble_design, collect_class_points, decompose_design, fit_cm_model, fit_honest_model,
+    fit_ncm_model, solve_subproblems, BipSolution, ClassModel, ClassModels, ClassPoints,
+    ContractDesign, CoreError, DegradationReport, DegradedSubproblem, DesignConfig, DesignPrep,
+    SubproblemSolution,
 };
 use dcc_detect::{
     CollusionReport, ConsensusMap, DetectionResult, FeedbackWeights, MaliciousEstimates,
     PipelineConfig, SuspectSource,
 };
 use dcc_graph::UnionFind;
-use dcc_numerics::IncrementalQuadraticFit;
 use dcc_obs::Metrics;
 use dcc_trace::{
     Campaign, Product, ProductId, Reviewer, ReviewerId, TraceDataset, WorkerClass,
@@ -112,46 +111,6 @@ fn points_same_bits(a: &[(f64, f64)], b: &[(f64, f64)]) -> bool {
         })
 }
 
-/// Whether `prefix` is a bitwise prefix of `points`.
-fn is_bit_prefix(prefix: &[(f64, f64)], points: &[(f64, f64)]) -> bool {
-    prefix.len() <= points.len() && points_same_bits(prefix, &points[..prefix.len()])
-}
-
-/// One class's streaming least-squares accumulator plus the point
-/// vector currently summed into it.
-#[derive(Debug, Clone, Default)]
-struct ClassAccumulator {
-    inc: IncrementalQuadraticFit,
-    points: Vec<(f64, f64)>,
-}
-
-impl ClassAccumulator {
-    /// Fits the class effort function over `points`, updating the
-    /// running normal-equation sums incrementally: append-only changes
-    /// stream through [`IncrementalQuadraticFit::add`] (bit-identical
-    /// to `polyfit`), anything else re-accumulates from scratch (same
-    /// bits, linear cost). Degenerate sums fall back to the batch
-    /// [`fit_effort_function`] so error text matches the cold path.
-    fn fit(&mut self, points: &[(f64, f64)]) -> Result<EffortFit, CoreError> {
-        if points.len() < 3 {
-            return fit_effort_function(points);
-        }
-        if is_bit_prefix(&self.points, points) {
-            for &(x, y) in &points[self.points.len()..] {
-                self.inc.add(x, y);
-            }
-        } else {
-            self.inc.reset_from(points);
-        }
-        self.points.clear();
-        self.points.extend_from_slice(points);
-        match self.inc.fit() {
-            Ok(candidate) => fit_effort_function_with_candidate(points, candidate),
-            Err(_) => fit_effort_function(points),
-        }
-    }
-}
-
 /// A cached subproblem solution keyed by its member set, with the
 /// bitwise fingerprint of every input that feeds the solve.
 #[derive(Debug, Clone)]
@@ -184,9 +143,6 @@ pub struct ServeState {
 
     // --- fit state -----------------------------------------------------
     worker_points: BTreeMap<ReviewerId, (f64, f64)>,
-    honest_acc: ClassAccumulator,
-    ncm_acc: ClassAccumulator,
-    cm_acc: ClassAccumulator,
     models_cache: Option<(ClassPoints, ClassModels)>,
 
     // --- solve state ---------------------------------------------------
@@ -238,9 +194,6 @@ impl ServeState {
             collusion: CollusionReport::from_member_groups(Vec::new()),
             partner_counts: BTreeMap::new(),
             worker_points: BTreeMap::new(),
-            honest_acc: ClassAccumulator::default(),
-            ncm_acc: ClassAccumulator::default(),
-            cm_acc: ClassAccumulator::default(),
             models_cache: None,
             solve_cache: BTreeMap::new(),
             dirty_workers: BTreeSet::new(),
@@ -274,11 +227,6 @@ impl ServeState {
     /// The active design configuration.
     pub fn design_config(&self) -> &DesignConfig {
         &self.design
-    }
-
-    /// The active detection configuration.
-    pub fn pipeline_config(&self) -> &PipelineConfig {
-        &self.pipeline
     }
 
     /// Ingests one event. Returns `Some(output)` for a round boundary,
@@ -548,140 +496,61 @@ impl ServeState {
             }
         }
 
-        // Regroup points by class (pure bookkeeping over cached floats;
-        // bit-identical to collect_class_points by construction).
-        let points = self.regroup_points(detection);
+        let points = collect_class_points(&self.trace, detection, |id| {
+            self.worker_points.get(&id).copied()
+        });
         let models = self.class_models(&points)?;
         let prep = decompose_design(&self.trace, detection, &self.design, &points, &models)?;
         let (solution, degradation) = self.solve_incremental(&prep)?;
         Ok(assemble_design(detection, &prep, solution, degradation))
     }
 
-    /// Rebuilds [`ClassPoints`] from the per-worker cache — the exact
-    /// grouping of `collect_class_points`, without recomputing any
-    /// float (each point was produced by the same
-    /// `worker_observation_point` call the batch path makes).
-    fn regroup_points(&self, detection: &DetectionResult) -> ClassPoints {
-        let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
-        let in_community: BTreeSet<ReviewerId> = detection
-            .collusion
-            .communities
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        let mut points = ClassPoints::default();
-        for reviewer in self.trace.reviewers() {
-            let Some(&(eff, fb)) = self.worker_points.get(&reviewer.id) else {
-                continue;
-            };
-            points.worker_points.insert(reviewer.id, (eff, fb));
-            if !suspected.contains(&reviewer.id) {
-                points.honest.push((eff, fb));
-            } else if in_community.contains(&reviewer.id) {
-                points.cm.push((eff, fb));
-            } else {
-                points.ncm.push((eff, fb));
-            }
-        }
-        points.community = detection
-            .collusion
-            .communities
-            .iter()
-            .map(|members| {
-                members
-                    .iter()
-                    .filter_map(|m| points.worker_points.get(m))
-                    .fold((0.0, 0.0), |acc, p| (acc.0 + p.0, acc.1 + p.1))
-            })
-            .collect();
-        points
-    }
-
-    /// The three class models, refitting only classes whose fit-input
-    /// points changed bitwise. Mirrors the fallback chain of
-    /// `fit_class_models` (honest → ncm → cm) exactly; the differential
-    /// harness compares the result against the batch chain bit-for-bit.
+    /// The three class models through the batch fallback chain
+    /// (`fit_honest_model` → `fit_ncm_model` → `fit_cm_model`), reusing a
+    /// cached model instead wherever the points its branch fits are
+    /// bitwise unchanged.
     fn class_models(&mut self, points: &ClassPoints) -> Result<ClassModels, CoreError> {
         // On any error the cache stays cleared, so the next round refits
         // from scratch (deterministically identical anyway).
         let cached = self.models_cache.take();
+        let cached = cached.as_ref();
         let same = |sel: fn(&ClassPoints) -> &Vec<(f64, f64)>| {
-            cached
-                .as_ref()
-                .is_some_and(|(snap, _)| points_same_bits(sel(snap), sel(points)))
+            cached.is_some_and(|(snap, _)| points_same_bits(sel(snap), sel(points)))
         };
-        let honest_same = same(|p| &p.honest);
-        let ncm_same = same(|p| &p.ncm);
-        let cm_same = same(|p| &p.cm);
+        let reuse = |hit: bool, sel: fn(&ClassModels) -> &ClassModel| {
+            cached.filter(|_| hit).map(|(_, m)| sel(m).clone())
+        };
+        let config = &self.design;
+        let stats = &mut self.stats;
+
+        let honest = reuse_or_fit(stats, reuse(same(|p| &p.honest), |m| &m.honest), true, || {
+            fit_honest_model(points, config)
+        })?;
+
+        let ncm_fits = points.ncm.len() >= 3;
+        let ncm = reuse_or_fit(
+            stats,
+            reuse(ncm_fits && same(|p| &p.ncm), |m| &m.ncm),
+            ncm_fits,
+            || fit_ncm_model(points, config, &honest),
+        )?;
+
         let community_same = same(|p| &p.community);
-
-        let honest = if honest_same {
-            self.stats.fit_reused += 1;
-            cached.as_ref().map(|(_, m)| m.honest.clone()).ok_or_else(cache_vanished)?
-        } else {
-            self.stats.fit_refits += 1;
-            let fit = self.honest_acc.fit(&points.honest)?;
-            let disc = Discretization::covering(
-                self.design.intervals,
-                effort_region(&points.honest, &fit.psi, self.design.effort_quantile)?,
-            )?;
-            ClassModel { fit, disc }
-        };
-
-        let ncm = if points.ncm.len() >= 3 {
-            if ncm_same {
-                self.stats.fit_reused += 1;
-                cached.as_ref().map(|(_, m)| m.ncm.clone()).ok_or_else(cache_vanished)?
-            } else {
-                self.stats.fit_refits += 1;
-                let fit = self.ncm_acc.fit(&points.ncm)?;
-                let disc = Discretization::covering(
-                    self.design.intervals,
-                    effort_region(&points.ncm, &fit.psi, self.design.effort_quantile)?,
-                )?;
-                ClassModel { fit, disc }
-            }
-        } else {
-            self.stats.fit_reused += 1;
-            honest.clone()
-        };
-
-        let cm = if points.community.len() >= 3 {
-            if community_same {
-                self.stats.fit_reused += 1;
-                cached.as_ref().map(|(_, m)| m.cm.clone()).ok_or_else(cache_vanished)?
-            } else {
-                self.stats.fit_refits += 1;
-                let fit = self.cm_acc.fit(&points.community)?;
-                let disc = Discretization::covering(
-                    self.design.intervals,
-                    effort_region(&points.community, &fit.psi, self.design.effort_quantile)?,
-                )?;
-                ClassModel { fit, disc }
-            }
+        let cm_reuse = if points.community.len() >= 3 {
+            reuse(community_same, |m| &m.cm)
         } else if points.cm.len() >= 3 {
-            // Member-point fit keeps the ncm discretization (the batch
-            // chain does the same); reuse the cached fit only when the
-            // cached round took this same branch.
+            // The member-point fit keeps the (current) ncm
+            // discretization; reuse the cached fit only when the cached
+            // round took this same branch.
             let prev_branch_matches = cached
-                .as_ref()
                 .is_some_and(|(snap, _)| snap.community.len() < 3 && snap.cm.len() >= 3);
-            let fit = if cm_same && community_same && prev_branch_matches {
-                self.stats.fit_reused += 1;
-                cached.as_ref().map(|(_, m)| m.cm.fit.clone()).ok_or_else(cache_vanished)?
-            } else {
-                self.stats.fit_refits += 1;
-                self.cm_acc.fit(&points.cm)?
-            };
-            ClassModel {
-                fit,
-                disc: ncm.disc,
-            }
+            reuse(community_same && same(|p| &p.cm) && prev_branch_matches, |m| &m.cm)
+                .map(|m| ClassModel { fit: m.fit, disc: ncm.disc })
         } else {
-            self.stats.fit_reused += 1;
-            ncm.clone()
+            None
         };
+        let cm_fits = points.community.len() >= 3 || points.cm.len() >= 3;
+        let cm = reuse_or_fit(stats, cm_reuse, cm_fits, || fit_cm_model(points, config, &ncm))?;
 
         let models = ClassModels { honest, ncm, cm };
         self.models_cache = Some((points.clone(), models.clone()));
@@ -818,22 +687,27 @@ impl ServeState {
     pub fn cold_detection(&self) -> DetectionResult {
         dcc_detect::run_pipeline(&self.trace, self.pipeline)
     }
-
-    /// Recomputes detection from the current dirty sets without
-    /// consuming them — exposed for white-box tests; normal callers go
-    /// through [`ServeState::apply`] with [`ServeEvent::Round`].
-    #[doc(hidden)]
-    pub fn debug_detection(&mut self) -> DetectionResult {
-        let dirty_workers = self.dirty_workers.clone();
-        let dirty_products = self.dirty_products.clone();
-        self.dirty_workers.clear();
-        self.dirty_products.clear();
-        self.recompute_detection(&dirty_workers, &dirty_products)
-    }
 }
 
-fn cache_vanished() -> CoreError {
-    CoreError::InvalidInput("serve: class-model cache vanished mid-round".into())
+/// Counts one class model into `stats` and returns it: the cached
+/// `reused` model when there is one, else `fit()` — a refit when `fits`,
+/// otherwise a fallback class taken without a fit.
+fn reuse_or_fit(
+    stats: &mut ServeStats,
+    reused: Option<ClassModel>,
+    fits: bool,
+    fit: impl FnOnce() -> Result<ClassModel, CoreError>,
+) -> Result<ClassModel, CoreError> {
+    if let Some(model) = reused {
+        stats.fit_reused += 1;
+        return Ok(model);
+    }
+    if fits {
+        stats.fit_refits += 1;
+    } else {
+        stats.fit_reused += 1;
+    }
+    fit()
 }
 
 /// A stable bitwise digest of a design: every `f64` as raw bits plus

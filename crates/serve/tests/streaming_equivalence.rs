@@ -131,3 +131,123 @@ fn estimated_suspect_source_is_rejected() {
     .expect_err("estimated mode must be rejected");
     assert!(err.to_string().contains("GroundTruth"), "{err}");
 }
+
+/// A hand-scripted stream that walks the class-fit branches the paper
+/// trace never reaches: the ncm fallback (fewer than 3 suspects outside
+/// communities), the cm member-point fit (fewer than 3 communities but
+/// at least 3 member points) refitted, reused and then crossing to 3
+/// communities and back, and an existing worker's point changing
+/// mid-vector. Every round must match the cold batch design, with the
+/// exact per-round `(fit_refits, fit_reused)` deltas.
+#[test]
+fn scripted_fit_branches_match_batch_with_exact_fit_counters() {
+    use dcc_serve::ServeEvent::{self, Join, Product, Review, Round};
+    use dcc_trace::WorkerClass::{
+        self, CollusiveMalicious as Cm, Honest, NonCollusiveMalicious as Ncm,
+    };
+
+    let review = |worker, product, length, upvotes| Review {
+        worker,
+        product,
+        round: 0,
+        stars: 3.0,
+        length,
+        upvotes,
+    };
+    // Worker `id` joins and writes one review.
+    let join = |id, class: WorkerClass, campaign, product, length, upvotes| {
+        vec![
+            Join { id, class, campaign, expert: false },
+            review(id, product, length, upvotes),
+        ]
+    };
+    // One round: (label, events, communities, (fit_refits, fit_reused)).
+    type Step = (&'static str, Vec<ServeEvent>, usize, (usize, usize));
+    let steps: Vec<Step> = vec![
+        (
+            "5 honest, 2 ncm (fallback), one 3-member community (member fit)",
+            [
+                join(0, Honest, None, 0, 120, 2.0),
+                join(1, Honest, None, 1, 160, 3.0),
+                join(2, Honest, None, 2, 200, 5.0),
+                join(3, Honest, None, 3, 240, 6.0),
+                join(4, Honest, None, 4, 280, 8.0),
+                join(5, Ncm, None, 15, 150, 1.0),
+                join(6, Ncm, None, 16, 210, 2.0),
+                join(7, Cm, Some(0), 10, 100, 4.0),
+                join(8, Cm, Some(0), 10, 180, 6.0),
+                join(9, Cm, Some(0), 10, 260, 9.0),
+            ]
+            .concat(),
+            1,
+            (2, 1),
+        ),
+        (
+            "a new honest worker: member fit reused",
+            join(10, Honest, None, 5, 300, 7.0),
+            1,
+            (1, 2),
+        ),
+        (
+            "a second community: member fit refitted",
+            [join(11, Cm, Some(1), 11, 140, 5.0), join(12, Cm, Some(1), 11, 220, 7.0)].concat(),
+            2,
+            (1, 2),
+        ),
+        (
+            "a third community: aggregate fit",
+            [join(13, Cm, Some(2), 12, 130, 3.0), join(14, Cm, Some(2), 12, 230, 8.0)].concat(),
+            3,
+            (1, 2),
+        ),
+        (
+            "a third ncm worker leaves the fallback",
+            join(15, Ncm, None, 17, 190, 3.0),
+            3,
+            (1, 2),
+        ),
+        (
+            "honest worker 1's point changes mid-vector",
+            vec![review(1, 6, 90, 1.0)],
+            3,
+            (1, 2),
+        ),
+        (
+            "worker 13 merges two communities, its point unchanged: back to the member fit",
+            vec![review(13, 11, 130, 3.0)],
+            2,
+            (1, 2),
+        ),
+    ];
+
+    let mut state =
+        ServeState::new(PipelineConfig::default(), DesignConfig::default(), 2).expect("config");
+    for id in 0..20 {
+        state.apply(&Product { id, quality: 3.0 }).expect("product");
+    }
+    for (label, events, communities, fit_deltas) in steps {
+        for event in &events {
+            assert!(state.apply(event).expect("protocol-valid event").is_none());
+        }
+        let before = state.stats();
+        let out = state.apply(&Round).expect("round").expect("round output");
+        let after = state.stats();
+        assert_eq!(
+            state.cold_detection().collusion.communities.len(),
+            communities,
+            "{label}: community count"
+        );
+        let design = out.design.unwrap_or_else(|e| panic!("{label}: {e}"));
+        let cold = state.cold_design().expect("cold design");
+        assert_eq!(
+            dcc_serve::design_digest(&design),
+            dcc_serve::design_digest(&cold),
+            "{label}: serve diverged from batch"
+        );
+        assert_eq!(
+            (after.fit_refits - before.fit_refits, after.fit_reused - before.fit_reused),
+            fit_deltas,
+            "{label}: fit counters"
+        );
+    }
+}

@@ -35,7 +35,7 @@ fn single_interval_discretization_works() {
         .unwrap();
     assert!(built.contract().is_monotone());
     assert!(built.requester_utility().is_finite());
-    assert_eq!(built.diagnostics().len(), 2);
+    assert!(matches!(built.k_opt(), None | Some(1)), "{:?}", built.k_opt());
 }
 
 #[test]
