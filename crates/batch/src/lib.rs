@@ -25,8 +25,8 @@
 //! Every scenario executes under **supervision**
 //! ([`BatchRunner::run_supervised`]): panics are caught and isolated
 //! (a poisoned scenario can neither wedge nor contaminate the shared
-//! memo), transient failures retry on the deterministic
-//! `dcc-faults` backoff schedule, an optional logical work-budget
+//! memo), panics and transient failures are re-attempted up to
+//! `max_retries` times, an optional logical work-budget
 //! bounds each scenario, and terminal failures are quarantined into a
 //! typed [`QuarantineReport`]. With a [`CheckpointConfig`] the runner
 //! writes versioned `dcc-batch-ckpt/1` snapshots and can resume an

@@ -29,12 +29,12 @@
 //!
 //! Every scenario runs under supervision
 //! ([`BatchRunner::run_supervised`]): `catch_unwind` panic isolation,
-//! the deterministic retry schedule of
-//! [`dcc_faults::retry_with_backoff_on`], an optional logical
-//! work-budget, and quarantine into [`BatchReport::quarantine`] when
-//! retries exhaust. With a [`CheckpointConfig`] the runner snapshots
-//! partial results (`dcc-batch-ckpt/1`) and can resume an interrupted
-//! sweep with output byte-identical to an uninterrupted run.
+//! up to `max_retries` immediate re-attempts of a panicked or transiently
+//! failed scenario, an optional logical work-budget, and quarantine into
+//! [`BatchReport::quarantine`] when retries exhaust. With a
+//! [`CheckpointConfig`] the runner snapshots partial results
+//! (`dcc-batch-ckpt/1`) and can resume an interrupted sweep with output
+//! byte-identical to an uninterrupted run.
 //!
 //! Cache accounting is *deterministic by convention*: a scenario is
 //! counted as cached when the memo already held the key at run start
@@ -64,7 +64,7 @@ use dcc_core::{
 use dcc_detect::{run_pipeline, DetectionResult};
 use dcc_engine::{PoolSize, TraceSource};
 use dcc_obs::{names as obs, AttrValue, Metrics};
-use dcc_trace::{read_trace_columnar, read_trace_csv, TraceDataset};
+use dcc_trace::TraceDataset;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -643,49 +643,21 @@ impl BatchRunner {
         spec: &TraceSpec,
         stats: &mut MemoStats,
     ) -> Result<(Arc<TraceDataset>, u64), BatchError> {
-        match &spec.source {
+        let key = match &spec.source {
+            // Content-addressed: the fingerprint *is* the key, so the
+            // memo only deduplicates the Arc (and the stats record
+            // whether detection/fit state already exists).
             TraceSource::Provided(trace) => {
-                // Content-addressed: the fingerprint *is* the key, so
-                // the memo only deduplicates the Arc (and the stats
-                // record whether detection/fit state already exists).
-                let key = format!("provided:{:016x}", trace_fingerprint(trace));
-                self.resolve_keyed(key, stats, || Ok(trace.clone()))
+                format!("provided:{:016x}", trace_fingerprint(trace))
             }
-            TraceSource::Synthetic(config) => {
-                let key = format!("synthetic:{config:?}");
-                self.resolve_keyed(key, stats, || Ok(config.generate()))
-            }
+            TraceSource::Synthetic(config) => format!("synthetic:{config:?}"),
             // The memo assumes a CSV directory is immutable for the
             // memo's lifetime (docs/batch.md).
-            TraceSource::CsvDir(dir) => {
-                let key = format!("csv:{}", dir.display());
-                self.resolve_keyed(key, stats, || {
-                    read_trace_csv(dir).map_err(|e| {
-                        BatchError::Spec(format!("cannot read trace {}: {e}", dir.display()))
-                    })
-                })
-            }
+            TraceSource::CsvDir(dir) => format!("csv:{}", dir.display()),
             // Same immutability contract as CsvDir: the columnar file
             // must not change while the memo is alive.
-            TraceSource::Columnar(path) => {
-                let key = format!("col:{}", path.display());
-                self.resolve_keyed(key, stats, || {
-                    read_trace_columnar(path)
-                        .and_then(|col| col.to_dataset())
-                        .map_err(|e| {
-                            BatchError::Spec(format!("cannot read trace {}: {e}", path.display()))
-                        })
-                })
-            }
-        }
-    }
-
-    fn resolve_keyed(
-        &self,
-        key: String,
-        stats: &mut MemoStats,
-        materialize: impl FnOnce() -> Result<TraceDataset, BatchError>,
-    ) -> Result<(Arc<TraceDataset>, u64), BatchError> {
+            TraceSource::Columnar(path) => format!("col:{}", path.display()),
+        };
         match self.memo.traces.get(&key) {
             Some(entry) => {
                 stats.trace.record(true);
@@ -693,7 +665,11 @@ impl BatchRunner {
             }
             None => {
                 stats.trace.record(false);
-                let trace = Arc::new(materialize()?);
+                let trace = spec
+                    .source
+                    .load()
+                    .map_err(|e| BatchError::Spec(e.to_string()))?;
+                let trace = Arc::new(trace);
                 let fp = trace_fingerprint(&trace);
                 self.memo.traces.insert(key, (Arc::clone(&trace), fp));
                 Ok((trace, fp))

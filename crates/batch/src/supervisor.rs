@@ -1,4 +1,4 @@
-//! Scenario supervision: panic isolation, deterministic retry,
+//! Scenario supervision: panic isolation, bounded retry,
 //! work-budget enforcement, and quarantine.
 //!
 //! The batch runner executes untrusted-ish scenario pipelines on shared
@@ -10,10 +10,9 @@
 //!   initializer *resets* the cell instead of wedging it, so a waiting
 //!   sibling retries the computation itself and a panic can never leave
 //!   a partial value behind (memo-poisoning guarantee).
-//! - [`supervise_attempts`] — wraps scenario execution in the
-//!   deterministic retry schedule of [`dcc_faults::retry_with_backoff_on`];
-//!   panics and injected transient errors retry, deterministic pipeline
-//!   errors and budget exhaustion fail fast.
+//! - [`supervise_attempts`] — a plain attempt loop around scenario
+//!   execution: panics and injected transient errors retry, deterministic
+//!   pipeline errors and budget exhaustion fail fast.
 //! - [`WorkBudget`] — a *logical* per-scenario timeout: stages charge
 //!   data-derived work units up front, so the budget is deterministic
 //!   and pool-invariant (a wall-clock timeout would be neither, and the
@@ -30,8 +29,6 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, PoisonError};
-
-use dcc_faults::{retry_with_backoff_on, RetryError, RetryPolicy};
 
 use crate::runner::BatchReport;
 
@@ -262,34 +259,26 @@ impl AttemptError {
     }
 }
 
-/// Runs `attempt` under the deterministic retry schedule: panics and
-/// transient errors retry up to `max_retries` extra times, anything
-/// else fails fast. Returns the result plus attempts performed. The
-/// jitter stream is seeded per scenario so retry behaviour is a pure
-/// function of `(scenario_id, max_retries)` — never of thread timing.
+/// Runs `attempt(0)`, `attempt(1)`, … until one succeeds, one fails
+/// with a non-retryable error, or `max_retries + 1` attempts (saturating)
+/// have run. Only panics and transient errors retry. Returns the result
+/// plus the attempts performed, a pure function of the attempt results:
+/// the scenario id names the caller's scenario but never changes the
+/// retry behaviour.
 pub(crate) fn supervise_attempts<T>(
-    scenario_id: usize,
+    _scenario_id: usize,
     max_retries: usize,
     mut attempt: impl FnMut(usize) -> Result<T, AttemptError>,
 ) -> (Result<T, ScenarioFailure>, usize) {
-    let policy = RetryPolicy {
-        max_attempts: max_retries.saturating_add(1),
-        seed: scenario_id as u64,
-        ..RetryPolicy::default()
-    };
-    let mut index = 0usize;
-    let result = retry_with_backoff_on(policy, AttemptError::retryable, |_strength| {
-        let i = index;
-        index += 1;
-        attempt(i)
-    });
-    match result {
-        Ok(outcome) => (Ok(outcome.value), outcome.attempts),
-        Err(RetryError::Exhausted { attempts, last }) => {
-            (Err(last.into_failure(attempts)), attempts)
-        }
-        Err(RetryError::Fatal { attempts, error }) => {
-            (Err(error.into_failure(attempts)), attempts)
+    let max_attempts = max_retries.saturating_add(1);
+    let mut attempts = 0;
+    loop {
+        let result = attempt(attempts);
+        attempts += 1;
+        match result {
+            Ok(value) => return (Ok(value), attempts),
+            Err(e) if AttemptError::retryable(&e) && attempts < max_attempts => {}
+            Err(e) => return (Err(e.into_failure(attempts)), attempts),
         }
     }
 }
@@ -656,6 +645,21 @@ mod tests {
         let failure = result.unwrap_err();
         assert_eq!(failure.kind, FailureKind::Error);
         assert_eq!(failure.to_string(), "mu must be positive");
+    }
+
+    #[test]
+    fn supervise_allocates_nothing_for_a_huge_retry_budget() {
+        let (result, attempts) = supervise_attempts(0, usize::MAX, Ok::<_, AttemptError>);
+        assert_eq!((result, attempts), (Ok(0), 1));
+
+        let (result, attempts) = supervise_attempts(0, usize::MAX, |attempt| {
+            if attempt < 2 {
+                Err(AttemptError::Transient("flaky".into()))
+            } else {
+                Ok(attempt)
+            }
+        });
+        assert_eq!((result, attempts), (Ok(2), 3));
     }
 
     #[test]

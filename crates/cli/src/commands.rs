@@ -18,9 +18,8 @@ use dcc_label::{LabelMarket, MarketConfig};
 use dcc_obs::{JsonRecorder, Metrics};
 use dcc_serve::{events_from_trace, ServeEvent, ServeService};
 use dcc_trace::{
-    read_trace_columnar, read_trace_csv, write_trace_columnar, write_trace_csv, AdversarialConfig,
-    AdversaryPlan, AdversaryPlanConfig, ColumnarTrace, TraceDataset, TraceSummary, WorkerClass,
-    COLUMNAR_VERSION,
+    read_trace_columnar, write_trace_columnar, write_trace_csv, AdversarialConfig, AdversaryPlan,
+    AdversaryPlanConfig, ColumnarTrace, TraceDataset, TraceSummary, WorkerClass, COLUMNAR_VERSION,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -58,12 +57,7 @@ fn trace_source_of(path: &str) -> TraceSource {
 }
 
 fn read_any_trace(path: &str) -> Result<TraceDataset, CliError> {
-    let result = if Path::new(path).is_file() {
-        read_trace_columnar(Path::new(path)).and_then(|col| col.to_dataset())
-    } else {
-        read_trace_csv(Path::new(path))
-    };
-    result.map_err(|e| CliError::Failed(format!("cannot read trace {path}: {e}")))
+    Ok(trace_source_of(path).load()?)
 }
 
 fn load_trace(args: &ParsedArgs) -> Result<TraceDataset, CliError> {

@@ -43,7 +43,10 @@ pub enum DegradationAction {
     Skipped,
 }
 
-/// One subproblem the solver could not design optimally.
+/// One subproblem the solver could not design optimally. Each
+/// subproblem is solved exactly once: its candidates are built in closed
+/// form, so a re-solve would fail the same way, and the failure goes
+/// straight to the [`FailurePolicy`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedSubproblem {
     /// The failing subproblem's id.
@@ -52,10 +55,6 @@ pub struct DegradedSubproblem {
     pub members: Vec<usize>,
     /// The original solver error, rendered.
     pub reason: String,
-    /// Solver attempts made before giving up: the attempt count of a
-    /// [`CoreError::Degraded`] produced by `dcc-faults`'
-    /// retry-with-backoff, or 1 for errors that were never retried.
-    pub attempts: usize,
     /// What the policy substituted.
     pub action: DegradationAction,
     /// The substituted requester utility minus the Theorem 4.1 upper
@@ -274,15 +273,6 @@ where
     }
 }
 
-/// Attempt count a solver error carries: a retried-then-degraded error
-/// knows how many tries were made; everything else failed on its first.
-fn attempts_of(err: &CoreError) -> usize {
-    match err {
-        CoreError::Degraded { attempts, .. } => (*attempts).max(1),
-        _ => 1,
-    }
-}
-
 /// Applies the failure policy to the per-subproblem results (in input
 /// order, so Abort reports the first failure) and sums the requester's
 /// objective.
@@ -306,7 +296,6 @@ fn assemble_solutions(
                         // dcc-lint: allow(hot-loop-alloc, reason = "cold degraded path; the report owns its member list")
                         members: sp.members.clone(),
                         reason: err.to_string(),
-                        attempts: attempts_of(&err),
                         action: DegradationAction::Fallback { amount: paid },
                         utility_delta: utility_delta(sp, params, solution.built.requester_utility()),
                     });
@@ -319,7 +308,6 @@ fn assemble_solutions(
                         // dcc-lint: allow(hot-loop-alloc, reason = "cold degraded path; the report owns its member list")
                         members: sp.members.clone(),
                         reason: err.to_string(),
-                        attempts: attempts_of(&err),
                         action: DegradationAction::Skipped,
                         utility_delta: utility_delta(sp, params, 0.0),
                     });
@@ -529,24 +517,6 @@ mod tests {
         assert_eq!(sol.for_worker(9).unwrap().id, 2);
         assert_eq!(sol.for_worker(0).unwrap().id, 0);
         assert!(sol.for_worker(99).is_none());
-    }
-
-    #[test]
-    fn degradation_report_carries_attempt_counts() {
-        let sps = sample_subproblems(2);
-        let results = vec![
-            Err(CoreError::degraded(
-                "candidate solve",
-                4,
-                CoreError::InvalidInput("singular".into()),
-            )),
-            Err(CoreError::InvalidInput("bad weight".into())),
-        ];
-        let (_, report) =
-            assemble_solutions(&sps, results, &params(), FailurePolicy::Skip).unwrap();
-        assert_eq!(report.degraded.len(), 2);
-        assert_eq!(report.degraded[0].attempts, 4);
-        assert_eq!(report.degraded[1].attempts, 1);
     }
 
     #[test]

@@ -58,17 +58,6 @@ pub enum CoreError {
         /// The underlying I/O error.
         source: IoSource,
     },
-    /// An operation gave up after exhausting its degraded-mode budget
-    /// (e.g. retry-with-backoff ran out of attempts); carries the last
-    /// underlying failure.
-    Degraded {
-        /// What was being attempted.
-        context: String,
-        /// How many attempts were made before giving up.
-        attempts: usize,
-        /// The final underlying error.
-        source: Box<CoreError>,
-    },
 }
 
 impl CoreError {
@@ -77,16 +66,6 @@ impl CoreError {
         CoreError::Io {
             context: context.into(),
             source: source.into(),
-        }
-    }
-
-    /// Marks an error as the terminal failure of an exhausted
-    /// degraded-mode recovery (`attempts` tries).
-    pub fn degraded(context: impl Into<String>, attempts: usize, source: CoreError) -> Self {
-        CoreError::Degraded {
-            context: context.into(),
-            attempts,
-            source: Box::new(source),
         }
     }
 }
@@ -104,11 +83,6 @@ impl fmt::Display for CoreError {
                 "interval index {interval} outside the discretization (1..={intervals})"
             ),
             CoreError::Io { context, source } => write!(f, "io error: {context}: {source}"),
-            CoreError::Degraded {
-                context,
-                attempts,
-                source,
-            } => write!(f, "degraded: {context} failed after {attempts} attempts: {source}"),
         }
     }
 }
@@ -118,7 +92,6 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Numerics(e) => Some(e),
             CoreError::Io { source, .. } => Some(source.0.as_ref()),
-            CoreError::Degraded { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -184,21 +157,5 @@ mod tests {
         );
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn degraded_display_and_source() {
-        use std::error::Error;
-        let inner = CoreError::from(NumericsError::SingularSystem);
-        let e = CoreError::degraded("solve subproblem 3", 4, inner.clone());
-        assert_eq!(
-            e.to_string(),
-            "degraded: solve subproblem 3 failed after 4 attempts: \
-             numerics error: linear system is singular"
-        );
-        let src = e.source().expect("degraded error carries a source");
-        assert_eq!(src.to_string(), inner.to_string());
-        // The chain continues into the numeric substrate.
-        assert!(src.source().is_some());
     }
 }

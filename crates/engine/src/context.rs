@@ -7,7 +7,7 @@ use dcc_core::{
 use dcc_detect::{DetectionResult, PipelineConfig};
 use dcc_faults::FaultPlan;
 use dcc_obs::Metrics;
-use dcc_trace::{SyntheticConfig, TraceDataset};
+use dcc_trace::{read_trace_columnar, read_trace_csv, SyntheticConfig, TraceDataset};
 use std::path::PathBuf;
 
 /// Where the [`StageKind::Ingest`] stage gets its trace from.
@@ -21,6 +21,29 @@ pub enum TraceSource {
     Columnar(PathBuf),
     /// Generate a synthetic trace.
     Synthetic(SyntheticConfig),
+}
+
+impl TraceSource {
+    /// Materializes the trace: clones a provided one, reads a CSV
+    /// directory or columnar file, or generates a synthetic one.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Ingest`] ("cannot read trace PATH: …") when a CSV
+    /// directory or columnar file cannot be read or decoded.
+    pub fn load(&self) -> Result<TraceDataset, EngineError> {
+        let (path, result) = match self {
+            TraceSource::Provided(trace) => return Ok(trace.clone()),
+            TraceSource::Synthetic(config) => return Ok(config.generate()),
+            TraceSource::CsvDir(dir) => (dir, read_trace_csv(dir)),
+            TraceSource::Columnar(path) => (
+                path,
+                read_trace_columnar(path).and_then(|col| col.to_dataset()),
+            ),
+        };
+        result
+            .map_err(|e| EngineError::Ingest(format!("cannot read trace {}: {e}", path.display())))
+    }
 }
 
 /// Worker-pool sizing for [`StageKind::SolveSubproblems`].

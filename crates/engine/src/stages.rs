@@ -8,9 +8,7 @@ use dcc_core::{assemble_design, prepare_design, solve_subproblems, BaselineStrat
 use dcc_detect::run_pipeline;
 use dcc_faults::{load_sim_state, save_sim_state, FaultInjector};
 use dcc_obs::{names as obs, AttrValue};
-use dcc_trace::{read_trace_columnar, read_trace_csv};
 use std::collections::BTreeSet;
-use std::path::Path;
 // dcc-lint: allow(wall-clock, reason = "trace-load timing is measured here and routed into dcc-obs via span_at")
 use std::time::Instant;
 
@@ -26,23 +24,13 @@ impl Stage for DefaultIngest {
     fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
         // dcc-lint: allow(wall-clock, reason = "trace-load timing fed to metrics.span_at below")
         let started = ctx.config().metrics.enabled().then(Instant::now);
-        let (trace, source_kind) = match &ctx.config().source {
-            TraceSource::Provided(trace) => (trace.clone(), "provided"),
-            TraceSource::CsvDir(dir) => (
-                read_trace_csv(Path::new(dir)).map_err(|e| {
-                    EngineError::Ingest(format!("cannot read trace {}: {e}", dir.display()))
-                })?,
-                "csv",
-            ),
-            TraceSource::Columnar(path) => (
-                read_trace_columnar(path)
-                    .and_then(|col| col.to_dataset())
-                    .map_err(|e| {
-                        EngineError::Ingest(format!("cannot read trace {}: {e}", path.display()))
-                    })?,
-                "columnar",
-            ),
-            TraceSource::Synthetic(config) => (config.generate(), "synthetic"),
+        let source = &ctx.config().source;
+        let trace = source.load()?;
+        let source_kind = match source {
+            TraceSource::Provided(_) => "provided",
+            TraceSource::CsvDir(_) => "csv",
+            TraceSource::Columnar(_) => "columnar",
+            TraceSource::Synthetic(_) => "synthetic",
         };
         let metrics = &ctx.config().metrics;
         if metrics.enabled() {

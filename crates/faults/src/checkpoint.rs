@@ -455,8 +455,7 @@ pub fn adaptive_state_from_json(doc: &Json) -> Result<AdaptiveState, CoreError> 
 ///
 /// Returns [`CoreError::Io`] on filesystem failure.
 pub fn save_adaptive_state(path: &Path, state: &AdaptiveState) -> Result<(), CoreError> {
-    std::fs::write(path, adaptive_state_to_json(state).to_string())
-        .map_err(|e| CoreError::io(format!("write checkpoint {}", path.display()), e))
+    save_json_atomic(path, &adaptive_state_to_json(state))
 }
 
 /// Reads an [`AdaptiveState`] checkpoint file.
@@ -637,6 +636,35 @@ mod tests {
 
         // Kind mismatch: a sim checkpoint is not an adaptive one.
         let err = load_adaptive_state(&path).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
+
+        // The adaptive writer goes through the same atomic primitive.
+        let agents = [AdaptiveAgent {
+            id: 0,
+            group: 0,
+            base_omega: 0.0,
+            base_weight: 1.0,
+            true_psi: Quadratic::new(-0.15, 2.5, 1.0),
+            conduct: ConductModel::Stationary,
+        }];
+        let adaptive = AdaptiveSimulation::new(
+            params(),
+            AdaptiveConfig {
+                rounds: 6,
+                recontract_every: 2,
+                seed: 4,
+                ..AdaptiveConfig::default()
+            },
+        );
+        let mut adaptive_state = adaptive.start(&agents).unwrap();
+        for _ in 0..3 {
+            adaptive.step(&agents, &mut adaptive_state).unwrap();
+        }
+        let adaptive_path = dir.join("adaptive.json");
+        save_adaptive_state(&adaptive_path, &adaptive_state).unwrap();
+        assert!(!adaptive_path.with_extension("tmp").exists());
+        assert_eq!(load_adaptive_state(&adaptive_path).unwrap(), adaptive_state);
+        let err = load_sim_state(&adaptive_path).unwrap_err();
         assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
 
         // Missing file surfaces as an io error.

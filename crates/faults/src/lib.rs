@@ -1,12 +1,11 @@
 //! # dcc-faults
 //!
-//! Fault injection, graceful degradation, and checkpoint/resume for the
-//! dyncontract simulation pipeline.
+//! Fault injection and checkpoint/resume for the dyncontract simulation
+//! pipeline.
 //!
 //! Crowdsourcing platforms are distributed systems: workers drop out and
-//! rejoin, feedback reports get lost or corrupted in flight, payments
-//! land late, and numeric pipelines occasionally hit singular systems.
-//! This crate makes all of that *reproducible*:
+//! rejoin, feedback reports get lost or corrupted in flight, and payments
+//! land late. This crate makes all of that *reproducible*:
 //!
 //! - [`FaultPlan`] / [`FaultPlanConfig`] — a fully materialized,
 //!   JSON-serializable schedule of faults. All randomness is spent at
@@ -18,10 +17,6 @@
 //!   [`dcc_core::Simulation`] and [`dcc_core::AdaptiveSimulation`] to
 //!   JSON and restores it bit-exactly (shortest-round-trip floats,
 //!   string-encoded non-finite values and RNG words).
-//! - [`retry_with_backoff`] — bounded, deterministically jittered
-//!   retries for transient [`dcc_numerics::NumericsError::SingularSystem`]
-//!   failures, degrading to [`dcc_core::CoreError::Degraded`] on
-//!   exhaustion.
 //!
 //! ## Example: a reproducible faulty run with mid-run checkpoints
 //!
@@ -54,7 +49,6 @@
 pub mod checkpoint;
 mod injector;
 mod plan;
-mod retry;
 
 pub use checkpoint::{
     adaptive_state_from_json, adaptive_state_to_json, load_adaptive_state, load_sim_state,
@@ -69,8 +63,4 @@ pub use dcc_numerics::{Json, JsonError};
 pub use plan::{
     Corruption, CorruptFeedback, DropoutWindow, FaultPlan, FaultPlanConfig, MissingFeedback,
     PaymentDelay,
-};
-pub use retry::{
-    backoff_schedule, retry_with_backoff, retry_with_backoff_on, RetryError, RetryOutcome,
-    RetryPolicy,
 };

@@ -43,7 +43,7 @@ pub fn save_checkpoint(path: &Path, log: &[ServeEvent]) -> Result<(), CoreError>
 /// format tag, or an undecodable event.
 pub fn load_checkpoint(path: &Path) -> Result<Vec<ServeEvent>, CoreError> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| CoreError::InvalidInput(format!("read checkpoint {}: {e}", path.display())))?;
+        .map_err(|e| CoreError::io(format!("read checkpoint {}", path.display()), e))?;
     let doc = Json::parse(&text)?;
     let format = doc.get("format").and_then(Json::as_str).unwrap_or("");
     if format != CKPT_FORMAT {
@@ -93,5 +93,8 @@ mod tests {
         let err = load_checkpoint(&path).expect_err("must reject");
         assert!(err.to_string().contains("dcc-serve-ckpt/1"), "{err}");
         std::fs::remove_file(&path).ok();
+
+        let err = load_checkpoint(&dir.join("missing.json")).expect_err("no such file");
+        assert!(matches!(err, CoreError::Io { .. }), "{err}");
     }
 }

@@ -128,15 +128,11 @@ impl ServeService {
         m.add(names::COUNTER_SERVE_DIRTY_PRODUCTS, out.dirty_products as u64);
         m.add(names::COUNTER_SERVE_SOLVE_RESOLVED, out.resolved as u64);
         m.add(names::COUNTER_SERVE_SOLVE_REUSED, out.reused as u64);
-        let stats = self.state.stats();
-        m.add(
-            names::COUNTER_SERVE_FIT_REFITS,
-            stats.fit_refits as u64,
-        );
-        m.add(names::COUNTER_SERVE_FIT_REUSED, stats.fit_reused as u64);
+        m.add(names::COUNTER_SERVE_FIT_REFITS, out.fit_refits as u64);
+        m.add(names::COUNTER_SERVE_FIT_REUSED, out.fit_reused as u64);
         m.gauge(
             names::GAUGE_SERVE_INCREMENTAL_RATIO,
-            stats.incremental_ratio(),
+            self.state.stats().incremental_ratio(),
         );
     }
 

@@ -97,6 +97,10 @@ pub struct RoundOutput {
     pub resolved: usize,
     /// Subproblems reused from the cache this boundary.
     pub reused: usize,
+    /// Class effort-function fits executed this boundary.
+    pub fit_refits: usize,
+    /// Class models reused (or derived by fallback) this boundary.
+    pub fit_reused: usize,
     /// The recomputed design, or the rendered error the batch pipeline
     /// would also produce over this prefix (e.g. too few honest
     /// observation points early in a stream).
@@ -348,8 +352,7 @@ impl ServeState {
         self.stats.dirty_products += dirty_products.len();
 
         let detection = self.recompute_detection(&dirty_workers, &dirty_products);
-        let resolved_before = self.stats.solve_resolved;
-        let reused_before = self.stats.solve_reused;
+        let before = self.stats;
         let design = self
             .recompute_design(&detection, &dirty_workers)
             .map_err(|e| e.to_string());
@@ -359,8 +362,10 @@ impl ServeState {
             events: self.stats.events,
             dirty_workers: dirty_workers.len(),
             dirty_products: dirty_products.len(),
-            resolved: self.stats.solve_resolved - resolved_before,
-            reused: self.stats.solve_reused - reused_before,
+            resolved: self.stats.solve_resolved - before.solve_resolved,
+            reused: self.stats.solve_reused - before.solve_reused,
+            fit_refits: self.stats.fit_refits - before.fit_refits,
+            fit_reused: self.stats.fit_reused - before.fit_reused,
             design,
         }
     }
@@ -748,7 +753,9 @@ pub fn design_digest(design: &ContractDesign) -> Vec<u64> {
     digest.push(design.degradation.len() as u64);
     for d in &design.degradation.degraded {
         digest.push(d.subproblem as u64);
-        digest.push(d.attempts as u64);
+        // Formerly the solver attempt count, which was always 1; the
+        // constant keeps every pinned digest unchanged.
+        digest.push(1);
     }
     digest
 }

@@ -47,6 +47,46 @@ fn pool_size_does_not_change_the_stream() {
 }
 
 #[test]
+fn serve_counters_equal_stats_after_every_round() {
+    use dcc_obs::{names, JsonRecorder};
+    let recorder = std::sync::Arc::new(JsonRecorder::new());
+    let mut service = ServeService::new(
+        PipelineConfig::default(),
+        DesignConfig::default(),
+        2,
+        false,
+        Metrics::new(recorder.clone()),
+    )
+    .expect("config is valid");
+    let trace = SyntheticConfig::small(17).generate();
+    let mut rounds = 0;
+    for event in &events_from_trace(&trace) {
+        if service.apply(event).expect("replay applies").is_none() {
+            continue;
+        }
+        rounds += 1;
+        let s = service.stats();
+        for (counter, stat) in [
+            (names::COUNTER_SERVE_EVENTS, s.events),
+            (names::COUNTER_SERVE_ROUNDS, s.rounds),
+            (names::COUNTER_SERVE_DIRTY_WORKERS, s.dirty_workers),
+            (names::COUNTER_SERVE_DIRTY_PRODUCTS, s.dirty_products),
+            (names::COUNTER_SERVE_SOLVE_RESOLVED, s.solve_resolved),
+            (names::COUNTER_SERVE_SOLVE_REUSED, s.solve_reused),
+            (names::COUNTER_SERVE_FIT_REFITS, s.fit_refits),
+            (names::COUNTER_SERVE_FIT_REUSED, s.fit_reused),
+        ] {
+            assert_eq!(
+                recorder.counter(counter),
+                stat as u64,
+                "{counter} after round {rounds}"
+            );
+        }
+    }
+    assert!(rounds >= 2, "the stream produced too few rounds");
+}
+
+#[test]
 fn quiet_rounds_reuse_everything() {
     // A round boundary with no intervening events changes no input, so
     // the incremental path must re-solve nothing and re-fit nothing —
