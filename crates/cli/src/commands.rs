@@ -1911,6 +1911,33 @@ mod tests {
     }
 
     #[test]
+    fn json_nested_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let dir = temp_dir("deepjson");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = format!("{dir}/deep.json");
+        // Just over the 128-level cap, and far past it: before the cap,
+        // the second aborted the process with a stack overflow.
+        let just_over = "[".repeat(129) + &"]".repeat(129);
+        for text in [just_over, "[".repeat(50_000)] {
+            std::fs::write(&file, &text).unwrap();
+            for (command, exit_code) in [
+                (format!("metrics summarize {file}"), 1),
+                (format!("serve --events {file}"), 1),
+                // docs/batch.md: a malformed grid spec is a usage error.
+                (format!("batch {file}"), 2),
+            ] {
+                let err = dispatch(&parse(&command)).unwrap_err();
+                assert_eq!(err.exit_code(), exit_code, "{command}: {err}");
+                assert!(
+                    err.to_string().contains("nested deeper than 128"),
+                    "{command}: {err}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn experiment_fig6_runs() {
         let out = dispatch(&parse("experiment fig6")).unwrap();
         assert!(out.contains("upper bound"));

@@ -1,9 +1,12 @@
+use crate::builder::{check_weight, CandidateTable};
 use crate::{
-    bounds, BestResponse, BuiltContract, Contract, ContractBuilder, CoreError, Discretization,
-    ModelParams,
+    bounds, BestResponse, BuiltContract, Contract, CoreError, Discretization, ModelParams,
 };
 use dcc_numerics::Quadratic;
 use dcc_obs::{names, Metrics};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 // dcc-lint: allow(wall-clock, reason = "subproblem timings are measured here and routed into dcc-obs via span_at")
 use std::time::Instant;
 
@@ -111,6 +114,23 @@ pub struct Subproblem {
     pub disc: Discretization,
 }
 
+impl Subproblem {
+    /// The bits that decide this subproblem's §IV-C candidate table under
+    /// fixed model parameters: ω, ψ's coefficients and the
+    /// discretization `(m, δ)`. Subproblems with equal keys share one
+    /// table and differ only in the weight `w` of the selection.
+    pub fn candidate_key(&self) -> [u64; 6] {
+        [
+            self.omega.to_bits(),
+            self.psi.r2().to_bits(),
+            self.psi.r1().to_bits(),
+            self.psi.r0().to_bits(),
+            self.disc.intervals() as u64,
+            self.disc.delta().to_bits(),
+        ]
+    }
+}
+
 /// The solved contract for one subproblem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubproblemSolution {
@@ -143,17 +163,16 @@ impl BipSolution {
 /// Solves every subproblem of the decomposition (§IV-B) and assembles the
 /// requester's total utility.
 ///
-/// The subproblems are independent by construction — the requester's
-/// objective separates across non-collusive workers and communities — so
-/// they are fanned out across `pool` scoped threads (`std::thread::scope`),
-/// each taking one contiguous chunk of the input. The merge order is
-/// deterministic — chunk results are concatenated in input order and
-/// re-zipped with the subproblems — so the output is **bit-identical**
-/// to the sequential path (`pool = 1`) for every pool size: each
-/// subproblem's arithmetic is self-contained and no reduction reorders
-/// floating-point operations. `pool` is clamped to
-/// `[1, subproblems.len()]`; `pool <= 1` solves on the calling thread
-/// without spawning.
+/// The §IV-C candidates depend only on [`Subproblem::candidate_key`], so
+/// each group of subproblems sharing a key builds one candidate table
+/// and selects from it for every member by the member's own weight. The
+/// groups are fanned out across `pool` scoped threads
+/// (`std::thread::scope`); a thread takes whole groups and holds one
+/// table at a time. Each subproblem's arithmetic is that of
+/// [`crate::ContractBuilder::build`] and results return in input order,
+/// so the output is **bit-identical** to the sequential path (`pool = 1`)
+/// for every pool size. `pool` is clamped to `[1, subproblems.len()]`;
+/// `pool <= 1` solves on the calling thread without spawning.
 ///
 /// `policy` decides what happens when an individual subproblem cannot be
 /// designed: abort everything, fall back to a fixed-payment baseline for
@@ -161,13 +180,14 @@ impl BipSolution {
 /// returned [`DegradationReport`] (empty when every subproblem solved
 /// optimally).
 ///
-/// Per-subproblem solve time, candidate-evaluation counts and
-/// degradation events flow into `metrics` (see `dcc_obs::names`). Worker
-/// threads only *measure*; all recording happens post-merge on the
-/// calling thread, in input order, so the metric stream is identical for
-/// every pool size. When `metrics` is disabled the solve takes a branch
-/// with no clock reads and no attribute construction, so the hot path
-/// stays zero-cost with a `NoopRecorder`.
+/// Per-subproblem solve time (the first member of a group also carries
+/// its table build), candidate-evaluation counts and degradation events
+/// flow into `metrics` (see `dcc_obs::names`). Worker threads only
+/// *measure*; all recording happens post-merge on the calling thread, in
+/// input order, so the metric stream is identical for every pool size.
+/// When `metrics` is disabled the solve takes a branch with no clock
+/// reads and no attribute construction, so the hot path stays zero-cost
+/// with a `NoopRecorder`.
 ///
 /// # Errors
 ///
@@ -184,23 +204,43 @@ pub fn solve_subproblems(
     metrics: &Metrics,
 ) -> Result<(BipSolution, DegradationReport), CoreError> {
     let workers = clamp_pool(pool, subproblems.len());
-    if !metrics.enabled() {
-        let results = fan_out(subproblems, workers, |sp| solve_one(sp, params));
-        return assemble_solutions(subproblems, results, params, policy);
-    }
-    let timed = fan_out(subproblems, workers, |sp| {
-        // dcc-lint: allow(wall-clock, reason = "per-subproblem timing fed to metrics.span_at below")
-        let start = Instant::now();
-        let result = solve_one(sp, params);
-        (result, start.elapsed())
+    // Group by candidate key; the stable sort keeps each group's members
+    // in input order.
+    let mut order: Vec<usize> = (0..subproblems.len()).collect();
+    order.sort_by_cached_key(|&i| subproblems[i].candidate_key());
+    let groups: Vec<&[usize]> = order
+        .chunk_by(|&a, &b| subproblems[a].candidate_key() == subproblems[b].candidate_key())
+        .collect();
+    // dcc-lint: allow(wall-clock, reason = "per-subproblem timing fed to metrics.span_at below")
+    let clock = || metrics.enabled().then(Instant::now);
+    let solved = fan_out(subproblems.len(), &groups, workers, |group| {
+        let mut start = clock();
+        let key = &subproblems[group[0]];
+        let mut key_params = *params;
+        key_params.omega = key.omega;
+        let table = CandidateTable::new(key_params, key.disc, key.psi, 0.0);
+        group
+            .iter()
+            .map(|&i| {
+                let result = solve_one(&subproblems[i], &table);
+                let end = clock();
+                let elapsed = end.zip(start).map(|(end, start)| end - start);
+                start = end;
+                (result, elapsed)
+            })
+            .collect()
     });
-    let (results, times): (Vec<_>, Vec<_>) = timed.into_iter().unzip();
+    let (results, times): (Vec<_>, Vec<_>) = solved.into_iter().flatten().unzip();
+    let degraded: Vec<bool> = results.iter().map(Result::is_err).collect();
     let (solution, report) = assemble_solutions(subproblems, results, params, policy)?;
+    if !metrics.enabled() {
+        return Ok((solution, report));
+    }
 
     metrics.gauge(names::GAUGE_SOLVE_POOL, workers as f64);
     metrics.add(names::COUNTER_SOLVE_SUBPROBLEMS, subproblems.len() as u64);
-    for (sp, elapsed) in subproblems.iter().zip(&times) {
-        let degraded = report.for_subproblem(sp.id).is_some();
+    for ((sp, elapsed), &degraded) in subproblems.iter().zip(times).zip(&degraded) {
+        let elapsed = elapsed.unwrap_or_default();
         // A built contract evaluated the zero contract and one candidate
         // per interval; a degraded one evaluated none.
         let iterations = if degraded { 0 } else { sp.disc.intervals() + 1 };
@@ -211,7 +251,7 @@ pub fn solve_subproblems(
                 ("iterations", iterations.into()),
                 ("degraded", degraded.into()),
             ],
-            *elapsed,
+            elapsed,
         );
         metrics.observe(names::HIST_SUBPROBLEM_US, elapsed.as_secs_f64() * 1e6);
     }
@@ -226,12 +266,16 @@ pub fn solve_subproblems(
     Ok((solution, report))
 }
 
-/// Solves one subproblem via the §IV-C candidate algorithm.
-fn solve_one(sp: &Subproblem, params: &ModelParams) -> Result<SubproblemSolution, CoreError> {
-    let built = ContractBuilder::new(*params, sp.disc, sp.psi)
-        .malicious(sp.omega)
-        .weight(sp.weight)
-        .build()
+/// Solves one subproblem by selecting from its key's table. A non-finite
+/// weight is reported before any table error, as
+/// [`crate::ContractBuilder::build`] does.
+fn solve_one(
+    sp: &Subproblem,
+    table: &Result<CandidateTable, CoreError>,
+) -> Result<SubproblemSolution, CoreError> {
+    let built = check_weight(sp.weight)
+        .and_then(|()| table.as_ref().map_err(CoreError::clone))
+        .and_then(|table| table.select(sp.weight))
         .map_err(|e| CoreError::InvalidInput(format!("subproblem {} failed: {e}", sp.id)))?;
     Ok(SubproblemSolution {
         id: sp.id,
@@ -246,31 +290,39 @@ fn clamp_pool(pool: usize, n: usize) -> usize {
     pool.max(1).min(n.max(1))
 }
 
-/// The deterministic chunked fan-out shared by the plain and recorded
-/// branches of [`solve_subproblems`]: `workers` scoped threads each take
-/// one contiguous chunk and the per-chunk outputs are concatenated back
-/// in input order.
-fn fan_out<T, F>(subproblems: &[Subproblem], workers: usize, per_item: F) -> Vec<T>
+/// The fan-out of [`solve_subproblems`]: up to `workers` scoped threads
+/// take whole groups off a shared counter, and each group's results
+/// (one per member, in group order) are scattered into their input
+/// positions. The groups partition `0..n`, so every slot is filled.
+fn fan_out<T, F>(n: usize, groups: &[&[usize]], workers: usize, per_group: F) -> Vec<Option<T>>
 where
     T: Send,
-    F: Fn(&Subproblem) -> T + Sync,
+    F: Fn(&[usize]) -> Vec<T> + Sync,
 {
-    if workers > 1 && subproblems.len() > 1 {
-        let chunk_size = subproblems.len().div_ceil(workers);
-        let per_ref = &per_item;
+    let slots: Mutex<Vec<Option<T>>> =
+        Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
+    let next = AtomicUsize::new(0);
+    let take_groups = || {
+        while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let results = per_group(group);
+            let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
+            for (&i, result) in group.iter().zip(results) {
+                slots[i] = Some(result);
+            }
+        }
+    };
+    let threads = workers.min(groups.len());
+    if threads > 1 {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = subproblems
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(per_ref).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        })
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(take_groups)).collect();
+            for handle in handles {
+                handle.join().unwrap_or_else(|panic| resume_unwind(panic));
+            }
+        });
     } else {
-        subproblems.iter().map(per_item).collect()
+        take_groups();
     }
+    slots.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Applies the failure policy to the per-subproblem results (in input

@@ -163,41 +163,95 @@ impl ContractBuilder {
         self
     }
 
-    /// Runs the search and returns the best contract.
+    /// Runs the search and returns the best contract: a candidate table
+    /// of one worker type, then its selection for this weight.
     ///
     /// # Errors
     ///
-    /// Propagates parameter, effort-function and numeric errors; also
-    /// rejects a non-finite weight.
+    /// Rejects a non-finite weight first; then propagates parameter,
+    /// effort-function and numeric errors.
     pub fn build(self) -> Result<BuiltContract, CoreError> {
-        if !self.weight.is_finite() {
-            return Err(CoreError::InvalidInput(format!(
-                "weight must be finite, got {}",
-                self.weight
-            )));
-        }
-        self.params.validate()?;
-        crate::effort::validate_effort_function(&self.psi, &self.disc)?;
+        check_weight(self.weight)?;
+        CandidateTable::new(self.params, self.disc, self.psi, self.margin)?.select(self.weight)
+    }
+}
 
-        let weigh = |contract: Contract| -> Result<(Contract, BestResponse, f64), CoreError> {
-            let response = best_response(&self.params, &self.psi, &contract)?;
-            let utility = self.weight * response.feedback - self.params.mu * response.compensation;
-            Ok((contract, response, utility))
-        };
+/// Rejects a non-finite requester weight.
+pub(crate) fn check_weight(weight: f64) -> Result<(), CoreError> {
+    if weight.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidInput(format!(
+            "weight must be finite, got {weight}"
+        )))
+    }
+}
+
+/// The §IV-C candidate set of one worker type: the zero contract and
+/// `ξ^(1)…ξ^(m)` (Eqs. 39–40), each with the worker's verified best
+/// response. The candidates depend only on `(β, ω, ψ, δ, m)`; the
+/// requester's weight `w` enters only [`CandidateTable::select`], so one
+/// table serves every worker that shares ω, ψ and the discretization.
+#[derive(Debug, Clone)]
+pub(crate) struct CandidateTable {
+    params: ModelParams,
+    disc: Discretization,
+    psi: Quadratic,
+    /// The zero contract at index 0, then `ξ^(k)` at index `k`.
+    entries: Vec<(Contract, BestResponse)>,
+}
+
+impl CandidateTable {
+    /// Builds the table for a worker of effort function `psi` under
+    /// `params` (whose `omega` is the worker's) and `disc`, with the
+    /// given incentive margin (see [`ContractBuilder::incentive_margin`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter, effort-function and numeric errors.
+    pub(crate) fn new(
+        params: ModelParams,
+        disc: Discretization,
+        psi: Quadratic,
+        margin: f64,
+    ) -> Result<Self, CoreError> {
+        params.validate()?;
+        crate::effort::validate_effort_function(&psi, &disc)?;
+        let mut entries = Vec::with_capacity(disc.intervals() + 1);
         // The zero contract (paying nothing) is always a candidate, so a
         // worker is never incentivized at a loss.
-        let zero = Contract::zero(self.psi.eval(0.0), self.psi.eval(self.disc.y_max()))?;
-        let (mut contract, mut response, mut requester_utility) = weigh(zero)?;
+        let zero = Contract::zero(psi.eval(0.0), psi.eval(disc.y_max()))?;
+        let response = best_response(&params, &psi, &zero)?;
+        entries.push((zero, response));
+        for k in 1..=disc.intervals() {
+            let cand = crate::build_candidate_with_margin(&params, &disc, &psi, k, margin)?;
+            let response = best_response(&params, &psi, &cand.contract)?;
+            entries.push((cand.contract, response));
+        }
+        Ok(CandidateTable {
+            params,
+            disc,
+            psi,
+            entries,
+        })
+    }
+
+    /// Selects the candidate maximizing the requester's utility
+    /// `w·q − μ·c` (Eq. 43) for a worker of weight `weight`: an ordered
+    /// scan where a later candidate wins by more than 1e-12, or ties
+    /// within 1e-12 and costs more than 1e-12 less.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a non-finite weight.
+    pub(crate) fn select(&self, weight: f64) -> Result<BuiltContract, CoreError> {
+        check_weight(weight)?;
+        let utility = |r: &BestResponse| weight * r.feedback - self.params.mu * r.compensation;
         let mut k_opt = None;
-        for k in 1..=self.disc.intervals() {
-            let cand = crate::build_candidate_with_margin(
-                &self.params,
-                &self.disc,
-                &self.psi,
-                k,
-                self.margin,
-            )?;
-            let (c, r, u) = weigh(cand.contract)?;
+        let (mut contract, mut response) = (&self.entries[0].0, &self.entries[0].1);
+        let mut requester_utility = utility(response);
+        for (k, (c, r)) in self.entries.iter().enumerate().skip(1) {
+            let u = utility(r);
             if u > requester_utility + 1e-12
                 || (u > requester_utility - 1e-12 && r.compensation < response.compensation - 1e-12)
             {
@@ -207,28 +261,23 @@ impl ContractBuilder {
         let utility_bounds = match k_opt {
             Some(k) if dcc_numerics::exact_eq(self.params.omega, 0.0) => Some((
                 bounds::requester_utility_lower_bound(
-                    self.weight,
+                    weight,
                     &self.params,
                     &self.disc,
                     &self.psi,
                     k,
                 ),
-                bounds::requester_utility_upper_bound(
-                    self.weight,
-                    &self.params,
-                    &self.disc,
-                    &self.psi,
-                ),
+                bounds::requester_utility_upper_bound(weight, &self.params, &self.disc, &self.psi),
             )),
             _ => None,
         };
 
         Ok(BuiltContract {
-            contract,
+            contract: contract.clone(),
             k_opt,
-            response,
+            response: *response,
             requester_utility,
-            weight: self.weight,
+            weight,
             utility_bounds,
         })
     }

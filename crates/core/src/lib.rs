@@ -17,14 +17,16 @@
 //!   for every target effort interval `[(k−1)δ, kδ)` construct a
 //!   candidate `ξ^(k)` whose slopes follow the Eq. (39)–(40) recurrence
 //!   inside the Case-III window of Lemma 4.1, then keep the candidate
-//!   with the highest requester utility.
+//!   with the highest requester utility. The two steps are separate, so
+//!   workers that share ω, ψ and the discretization share one set of
+//!   candidates.
 //! - [`bounds`] — Lemma 4.2 / 4.3 compensation bounds and the
 //!   Theorem 4.1 requester-utility bracket.
 //! - [`best_response`] — a worker's exact best response to an arbitrary
 //!   contract (used to *verify* incentives rather than assume them).
 //! - [`solve_subproblems`] / [`design_contracts`] — the §IV-B
-//!   decomposition into per-worker / per-community subproblems, solved on
-//!   a pool of scoped threads.
+//!   decomposition into per-worker / per-community subproblems, solved
+//!   one candidate table per key on a pool of scoped threads.
 //! - [`Simulation`] — the repeated Stackelberg game over `T` rounds with
 //!   lagged payments and stochastic feedback, plus the exclusion and
 //!   fixed-payment baselines of §V.

@@ -1,4 +1,4 @@
-use crate::{ContractDesign, CoreError, ModelParams, RoundRecord};
+use crate::{AgentContract, ContractDesign, CoreError, ModelParams, RoundRecord};
 use dcc_detect::DetectionResult;
 use dcc_trace::{ReviewerId, TraceDataset};
 use std::collections::BTreeMap;
@@ -58,6 +58,14 @@ pub fn replay_trace(
     }
 
     let n_workers = trace.reviewers().len();
+    // Each worker's agent, indexed once: the first agent for a worker
+    // wins, as in `ContractDesign::for_worker`.
+    let mut agent_of: Vec<Option<&AgentContract>> = vec![None; n_workers];
+    for agent in &design.agents {
+        if let Some(slot @ None) = agent_of.get_mut(agent.worker.index()) {
+            *slot = Some(agent);
+        }
+    }
     let mut worker_compensation = vec![0.0; n_workers];
     // Pending payment owed to each worker at its next active round
     // (starts at the contract's base payment for feedback 0).
@@ -69,7 +77,7 @@ pub fn replay_trace(
         let mut benefit = 0.0;
         let mut payment = 0.0;
         for (&worker, &(sum, count)) in activity {
-            let Some(agent) = design.for_worker(worker) else {
+            let Some(agent) = agent_of.get(worker.index()).copied().flatten() else {
                 continue;
             };
             let feedback = sum / count as f64;

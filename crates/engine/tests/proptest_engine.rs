@@ -2,13 +2,18 @@
 //! any worker-pool size — including under degraded subproblems with
 //! `FailurePolicy::FallbackBaseline` and under an injected fault plan —
 //! the pooled solve and the full engine run must be **bit-identical** to
-//! the sequential path.
+//! the sequential path, and the keyed solve (one candidate table per
+//! (ω, ψ, Δ) key) must be bit-identical to building every subproblem on
+//! its own with `ContractBuilder::build`.
 
 // Test code may panic freely; helpers outside `#[test]` fns miss
 // clippy.toml's in-tests exemption, so allow at file scope.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use dcc_core::{prepare_design, solve_subproblems, DesignConfig, DesignPrep, FailurePolicy};
+use dcc_core::{
+    prepare_design, solve_subproblems, ContractBuilder, CoreError, DesignConfig, DesignPrep,
+    Discretization, FailurePolicy, ModelParams, Subproblem,
+};
 use dcc_detect::{run_pipeline, DetectionResult, PipelineConfig};
 use dcc_engine::{Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, SimOptions};
 use dcc_faults::FaultPlanConfig;
@@ -105,8 +110,121 @@ fn corrupted(prep: &DesignPrep, victim: usize) -> Vec<dcc_core::Subproblem> {
     subproblems
 }
 
+/// The pool of key components the keyed-solve property draws from: ω,
+/// ψ (the last one convex, so its table fails validation) and the
+/// discretization.
+const OMEGAS: [f64; 3] = [0.0, 0.3, 0.6];
+
+fn key_psi(i: usize) -> Quadratic {
+    [
+        Quadratic::new(-0.05, 2.0, 0.5),
+        Quadratic::new(-0.08, 1.6, 0.2),
+        Quadratic::new(0.1, 1.0, 0.0),
+    ][i]
+}
+
+fn key_disc(i: usize) -> Discretization {
+    [(8, 0.75), (5, 1.2)]
+        .map(|(m, delta)| Discretization::new(m, delta).expect("valid discretization"))[i]
+}
+
+/// Weights including the ones a table must never be consulted for.
+fn any_weight() -> impl Strategy<Value = f64> {
+    (0usize..10, -1.0f64..3.0).prop_map(|(tag, weight)| match tag {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => -0.5,
+        3 => 0.0,
+        _ => weight,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Subproblems drawn from a few (ω, ψ, Δ) keys, so most share a
+    /// table, solve bit-identically to a per-subproblem
+    /// `ContractBuilder::build`, under every policy and pool size: the
+    /// same contracts, the same degraded set and reasons, the same Abort
+    /// error (the first failure in input order) and the same total bits.
+    #[test]
+    fn keyed_solve_matches_per_subproblem_builder(
+        keys in proptest::collection::vec((0usize..3, 0usize..3, 0usize..2), 1..4),
+        picks in proptest::collection::vec((0usize..16, any_weight()), 1..48),
+        policy_idx in 0usize..3,
+        pool in 1usize..=16,
+    ) {
+        let params = ModelParams { mu: 1.5, ..ModelParams::default() };
+        let policy = [
+            FailurePolicy::Abort,
+            FailurePolicy::FallbackBaseline { amount: 0.5 },
+            FailurePolicy::Skip,
+        ][policy_idx];
+        let subproblems: Vec<Subproblem> = picks
+            .iter()
+            .enumerate()
+            .map(|(id, &(pick, weight))| {
+                let (omega, psi, disc) = keys[pick % keys.len()];
+                Subproblem {
+                    id,
+                    members: vec![id],
+                    omega: OMEGAS[omega],
+                    weight,
+                    psi: key_psi(psi),
+                    disc: key_disc(disc),
+                }
+            })
+            .collect();
+        let reference: Vec<_> = subproblems
+            .iter()
+            .map(|sp| {
+                ContractBuilder::new(params, sp.disc, sp.psi)
+                    .malicious(sp.omega)
+                    .weight(sp.weight)
+                    .build()
+                    .map_err(|e| {
+                        CoreError::InvalidInput(format!("subproblem {} failed: {e}", sp.id))
+                            .to_string()
+                    })
+            })
+            .collect();
+        let solved = solve_subproblems(&subproblems, &params, pool, policy, &Metrics::noop());
+        let first_error = reference.iter().find_map(|r| r.as_ref().err());
+        let (solution, report) = match (policy, first_error) {
+            (FailurePolicy::Abort, Some(want)) => {
+                prop_assert_eq!(&solved.unwrap_err().to_string(), want);
+                return Ok(());
+            }
+            _ => solved.unwrap(),
+        };
+        let degraded: Vec<(usize, &str)> = report
+            .degraded
+            .iter()
+            .map(|d| (d.subproblem, d.reason.as_str()))
+            .collect();
+        let failed: Vec<(usize, &str)> = reference
+            .iter()
+            .enumerate()
+            .filter_map(|(id, r)| r.as_ref().err().map(|e| (id, e.as_str())))
+            .collect();
+        prop_assert_eq!(degraded, failed);
+        let mut total = 0.0f64;
+        for (got, want) in solution.solutions.iter().zip(&reference) {
+            let utility = match want {
+                Ok(want) => {
+                    prop_assert_eq!(&got.built, want);
+                    prop_assert_eq!(
+                        got.built.requester_utility().to_bits(),
+                        want.requester_utility().to_bits()
+                    );
+                    want.requester_utility()
+                }
+                Err(_) => got.built.requester_utility(),
+            };
+            total += utility;
+        }
+        prop_assert_eq!(solution.total_requester_utility.to_bits(), total.to_bits());
+    }
 
     /// The §IV-B solve is bit-identical at every pool size.
     #[test]

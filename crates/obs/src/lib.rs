@@ -199,9 +199,11 @@ pub mod names {
     pub const COUNTER_SERVE_DIRTY_WORKERS: &str = "serve.dirty.workers";
     /// Counter: products marked dirty across all round recomputes.
     pub const COUNTER_SERVE_DIRTY_PRODUCTS: &str = "serve.dirty.products";
-    /// Counter: subproblems re-solved because their inputs changed.
+    /// Counter: §IV-C candidate tables built, one per distinct
+    /// (ω, ψ, Δ) subproblem key of a round.
     pub const COUNTER_SERVE_SOLVE_RESOLVED: &str = "serve.solve.resolved";
-    /// Counter: subproblems whose cached solution was reused unchanged.
+    /// Counter: subproblems that selected from a table another
+    /// subproblem of the same round built (subproblems − tables).
     pub const COUNTER_SERVE_SOLVE_REUSED: &str = "serve.solve.reused";
     /// Counter: class effort-function refits forced by changed points.
     pub const COUNTER_SERVE_FIT_REFITS: &str = "serve.fit.refits";
@@ -212,8 +214,8 @@ pub mod names {
     /// Counter: runs restored from a `dcc-serve-ckpt/1` checkpoint
     /// (0 or 1 per process).
     pub const COUNTER_SERVE_CKPT_RESTORED: &str = "serve.checkpoint.restored";
-    /// Gauge: fraction of subproblems reused (not re-solved) over the
-    /// run so far — the incremental-vs-full work ratio.
+    /// Gauge: reused / (resolved + reused) over the run so far — the
+    /// share of subproblems that shared a candidate table.
     pub const GAUGE_SERVE_INCREMENTAL_RATIO: &str = "serve.incremental_ratio";
 
     /// Counter: adversary plans applied to generated traces.

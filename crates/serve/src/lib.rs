@@ -16,8 +16,8 @@
 //! - collusive communities via a streaming union-find instead of DFS,
 //! - class ψ refits through the batch fit functions, only for classes
 //!   whose observation points changed,
-//! - subproblem solves only when their bitwise input fingerprint
-//!   changed.
+//! - one §IV-C candidate table per distinct (ω, ψ, discretization)
+//!   key, shared by every subproblem with that key (the batch solve).
 //!
 //! **Correctness contract**: after *any* prefix of the event stream,
 //! the incrementally maintained design is bit-identical

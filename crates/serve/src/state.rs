@@ -17,9 +17,11 @@
 //!   changed, through the batch [`fit_honest_model`] /
 //!   [`fit_ncm_model`] / [`fit_cm_model`]; unchanged classes reuse the
 //!   cached model;
-//! - subproblems re-solve only when their bitwise input fingerprint
-//!   (members, ω, weight, ψ, discretization, model parameters) changed;
-//!   cached solutions are reused with their positional ids re-patched.
+//! - every subproblem is solved each round through the batch
+//!   [`solve_subproblems`], which builds one §IV-C candidate table per
+//!   distinct (ω, ψ, discretization) key and selects from it per
+//!   worker, so a round costs one table per key plus one cheap
+//!   selection per subproblem.
 //!
 //! Every per-item computation is the *same function* the batch path
 //! runs (shared via `dcc-detect`/`dcc-core`), so equality is by
@@ -28,9 +30,8 @@
 
 use dcc_core::{
     assemble_design, collect_class_points, decompose_design, fit_cm_model, fit_honest_model,
-    fit_ncm_model, solve_subproblems, BipSolution, ClassModel, ClassModels, ClassPoints,
-    ContractDesign, CoreError, DegradationReport, DegradedSubproblem, DesignConfig, DesignPrep,
-    SubproblemSolution,
+    fit_ncm_model, solve_subproblems, ClassModel, ClassModels, ClassPoints, ContractDesign,
+    CoreError, DesignConfig, Subproblem,
 };
 use dcc_detect::{
     CollusionReport, ConsensusMap, DetectionResult, FeedbackWeights, MaliciousEstimates,
@@ -62,16 +63,18 @@ pub struct ServeStats {
     pub fit_refits: usize,
     /// Class models reused (or derived by fallback) without a fit.
     pub fit_reused: usize,
-    /// Subproblems re-solved because their inputs changed.
+    /// Candidate tables built: one per distinct (ω, ψ, discretization)
+    /// key of a round's subproblems, summed over rounds.
     pub solve_resolved: usize,
-    /// Subproblems whose cached solution was reused unchanged.
+    /// Subproblems that selected from a table another subproblem of the
+    /// same round built: subproblems minus tables, summed over rounds.
     pub solve_reused: usize,
 }
 
 impl ServeStats {
-    /// Fraction of subproblem solves answered from the cache — the
-    /// incremental-vs-full work ratio of the run so far (1.0 when no
-    /// subproblem has ever been solved).
+    /// Fraction of subproblems that shared a candidate table — the
+    /// table-reuse ratio of the run so far (1.0 when no subproblem has
+    /// ever been solved).
     pub fn incremental_ratio(&self) -> f64 {
         let total = self.solve_resolved + self.solve_reused;
         if total == 0 {
@@ -93,9 +96,9 @@ pub struct RoundOutput {
     pub dirty_workers: usize,
     /// Products that were dirty at this boundary.
     pub dirty_products: usize,
-    /// Subproblems re-solved this boundary.
+    /// Candidate tables built this boundary (distinct subproblem keys).
     pub resolved: usize,
-    /// Subproblems reused from the cache this boundary.
+    /// Subproblems this boundary minus its tables.
     pub reused: usize,
     /// Class effort-function fits executed this boundary.
     pub fit_refits: usize,
@@ -113,15 +116,6 @@ fn points_same_bits(a: &[(f64, f64)], b: &[(f64, f64)]) -> bool {
         && a.iter().zip(b).all(|(p, q)| {
             p.0.to_bits() == q.0.to_bits() && p.1.to_bits() == q.1.to_bits()
         })
-}
-
-/// A cached subproblem solution keyed by its member set, with the
-/// bitwise fingerprint of every input that feeds the solve.
-#[derive(Debug, Clone)]
-struct CachedSolve {
-    fingerprint: Vec<u64>,
-    solution: SubproblemSolution,
-    degraded: Option<DegradedSubproblem>,
 }
 
 /// The streaming service's incremental state.
@@ -148,9 +142,6 @@ pub struct ServeState {
     // --- fit state -----------------------------------------------------
     worker_points: BTreeMap<ReviewerId, (f64, f64)>,
     models_cache: Option<(ClassPoints, ClassModels)>,
-
-    // --- solve state ---------------------------------------------------
-    solve_cache: BTreeMap<Vec<usize>, CachedSolve>,
 
     // --- dirty tracking ------------------------------------------------
     dirty_workers: BTreeSet<ReviewerId>,
@@ -199,7 +190,6 @@ impl ServeState {
             partner_counts: BTreeMap::new(),
             worker_points: BTreeMap::new(),
             models_cache: None,
-            solve_cache: BTreeMap::new(),
             dirty_workers: BTreeSet::new(),
             dirty_products: BTreeSet::new(),
             stats: ServeStats::default(),
@@ -481,8 +471,8 @@ impl ServeState {
         }
     }
 
-    /// Incremental §IV-B/C design: refit only changed classes, re-solve
-    /// only changed subproblems, assemble exactly as the batch path.
+    /// Incremental §IV-B/C design: refit only changed classes, then
+    /// solve and assemble exactly as the batch path.
     fn recompute_design(
         &mut self,
         detection: &DetectionResult,
@@ -506,7 +496,21 @@ impl ServeState {
         });
         let models = self.class_models(&points)?;
         let prep = decompose_design(&self.trace, detection, &self.design, &points, &models)?;
-        let (solution, degradation) = self.solve_incremental(&prep)?;
+        let tables = prep
+            .subproblems
+            .iter()
+            .map(Subproblem::candidate_key)
+            .collect::<BTreeSet<_>>()
+            .len();
+        self.stats.solve_resolved += tables;
+        self.stats.solve_reused += prep.subproblems.len() - tables;
+        let (solution, degradation) = solve_subproblems(
+            &prep.subproblems,
+            &self.design.params,
+            self.pool,
+            self.design.failure_policy,
+            &Metrics::noop(),
+        )?;
         Ok(assemble_design(detection, &prep, solution, degradation))
     }
 
@@ -560,118 +564,6 @@ impl ServeState {
         let models = ClassModels { honest, ncm, cm };
         self.models_cache = Some((points.clone(), models.clone()));
         Ok(models)
-    }
-
-    /// Solves only the subproblems whose bitwise input fingerprint
-    /// changed, merging cached and fresh solutions in input order.
-    /// Bit-identical to a full `solve_subproblems` over all
-    /// subproblems: each subproblem's arithmetic is self-contained, the
-    /// total is re-summed over the merged list in input order, and the
-    /// pooled solve is itself bit-identical across pool sizes.
-    fn solve_incremental(
-        &mut self,
-        prep: &DesignPrep,
-    ) -> Result<(BipSolution, DegradationReport), CoreError> {
-        let params = &self.design.params;
-        let policy = self.design.failure_policy;
-        let param_fp = [
-            params.mu.to_bits(),
-            params.beta.to_bits(),
-            params.omega.to_bits(),
-            params.kappa.to_bits(),
-            params.gamma.to_bits(),
-            params.rho.to_bits(),
-        ];
-        let fingerprint = |sp: &dcc_core::Subproblem| -> Vec<u64> {
-            let mut fp = Vec::with_capacity(12 + sp.members.len());
-            fp.extend_from_slice(&param_fp);
-            fp.push(sp.omega.to_bits());
-            fp.push(sp.weight.to_bits());
-            fp.push(sp.psi.r2().to_bits());
-            fp.push(sp.psi.r1().to_bits());
-            fp.push(sp.psi.r0().to_bits());
-            fp.push(sp.disc.intervals() as u64);
-            fp.push(sp.disc.y_max().to_bits());
-            fp.extend(sp.members.iter().map(|&m| m as u64));
-            fp
-        };
-
-        let mut slots: Vec<Option<(SubproblemSolution, Option<DegradedSubproblem>)>> =
-            vec![None; prep.subproblems.len()];
-        let mut to_solve: Vec<dcc_core::Subproblem> = Vec::new();
-        let mut to_solve_at: Vec<usize> = Vec::new();
-        for (i, sp) in prep.subproblems.iter().enumerate() {
-            let fp = fingerprint(sp);
-            match self.solve_cache.get(&sp.members) {
-                Some(hit) if hit.fingerprint == fp => {
-                    let mut solution = hit.solution.clone();
-                    solution.id = sp.id;
-                    let degraded = hit.degraded.clone().map(|mut d| {
-                        d.subproblem = sp.id;
-                        d
-                    });
-                    slots[i] = Some((solution, degraded));
-                    self.stats.solve_reused += 1;
-                }
-                _ => {
-                    to_solve.push(sp.clone());
-                    to_solve_at.push(i);
-                    self.stats.solve_resolved += 1;
-                }
-            }
-        }
-
-        if !to_solve.is_empty() {
-            let (fresh, fresh_report) =
-                solve_subproblems(&to_solve, params, self.pool, policy, &Metrics::noop())?;
-            let mut degraded_by_id: BTreeMap<usize, DegradedSubproblem> = fresh_report
-                .degraded
-                .into_iter()
-                .map(|d| (d.subproblem, d))
-                .collect();
-            for (solution, &at) in fresh.solutions.into_iter().zip(&to_solve_at) {
-                let degraded = degraded_by_id.remove(&solution.id);
-                slots[at] = Some((solution, degraded));
-            }
-        }
-
-        // Merge in input order; rebuild the cache from this round's
-        // entries only, so stale member sets don't accumulate.
-        let mut solutions = Vec::with_capacity(slots.len());
-        let mut degraded = Vec::new();
-        let mut cache = BTreeMap::new();
-        for (slot, sp) in slots.into_iter().zip(&prep.subproblems) {
-            let (solution, degradation) = slot.ok_or_else(|| {
-                CoreError::InvalidInput("serve: a subproblem slot was never filled".into())
-            })?;
-            cache.insert(
-                sp.members.clone(),
-                CachedSolve {
-                    fingerprint: fingerprint(sp),
-                    solution: solution.clone(),
-                    degraded: degradation.clone(),
-                },
-            );
-            if let Some(d) = degradation {
-                degraded.push(d);
-            }
-            solutions.push(solution);
-        }
-        self.solve_cache = cache;
-
-        // The batch path sums requester utilities over the full list in
-        // input order; repeat that exact fold so the total's bits match.
-        let total = solutions
-            .iter()
-            .map(|s| s.built.requester_utility())
-            .sum::<f64>();
-        Ok((
-            BipSolution {
-                solutions,
-                total_requester_utility: total,
-            },
-            DegradationReport { degraded },
-        ))
     }
 
     /// The cold-batch reference over the current trace: the exact

@@ -12,6 +12,12 @@ use dcc_obs::Metrics;
 use dcc_serve::{events_from_trace, ServeService, ServeState};
 use dcc_trace::SyntheticConfig;
 
+/// `(rounds, solve_resolved, solve_reused)` after replaying the small
+/// seed-13 stream.
+const PINNED_ROUNDS: usize = 8;
+const PINNED_RESOLVED: usize = 24;
+const PINNED_REUSED: usize = 2952;
+
 fn replay_verified(seed: u64, pool: usize) -> ServeService {
     let trace = SyntheticConfig::small(seed).generate();
     let events = events_from_trace(&trace);
@@ -87,13 +93,34 @@ fn serve_counters_equal_stats_after_every_round() {
 }
 
 #[test]
-fn quiet_rounds_reuse_everything() {
+fn quiet_rounds_build_one_table_per_key_and_repeat_the_design() {
     // A round boundary with no intervening events changes no input, so
-    // the incremental path must re-solve nothing and re-fit nothing —
-    // and still emit a design identical to the busy round before it.
+    // the incremental path re-fits nothing, builds exactly one candidate
+    // table per distinct subproblem key, and emits a design identical
+    // to the busy round before it.
     let mut service = replay_verified(13, 4);
     let busy = service.stats();
-    let mut digests = Vec::new();
+    // The small stream's table counts: pinned so that a change in solve
+    // work fails here and has to be explained.
+    assert_eq!(
+        (busy.rounds, busy.solve_resolved, busy.solve_reused),
+        (PINNED_ROUNDS, PINNED_RESOLVED, PINNED_REUSED)
+    );
+    let state = service.state();
+    let prep = dcc_core::prepare_design(
+        state.trace(),
+        &state.cold_detection(),
+        &DesignConfig::default(),
+    )
+    .expect("the replayed trace fits");
+    let keys = prep
+        .subproblems
+        .iter()
+        .map(dcc_core::Subproblem::candidate_key)
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
+    assert!(keys < prep.subproblems.len(), "subproblems share keys");
+    let mut previous = dcc_serve::design_digest(&state.cold_design().expect("design"));
     for _ in 0..3 {
         let out = service
             .apply(&dcc_serve::ServeEvent::Round)
@@ -101,16 +128,16 @@ fn quiet_rounds_reuse_everything() {
             .expect("round output");
         assert_eq!(out.dirty_workers, 0);
         assert_eq!(out.dirty_products, 0);
-        assert_eq!(out.resolved, 0, "a quiet round must re-solve nothing");
-        assert!(out.reused > 0);
-        digests.push(dcc_serve::design_digest(
-            out.design.as_ref().expect("design"),
-        ));
+        assert_eq!(out.fit_refits, 0);
+        assert_eq!(out.resolved, keys, "one table per distinct key");
+        assert_eq!(out.resolved + out.reused, prep.subproblems.len());
+        let digest = dcc_serve::design_digest(out.design.as_ref().expect("design"));
+        assert_eq!(digest, previous, "a quiet round repeats the design");
+        previous = digest;
     }
     let quiet = service.stats();
-    assert_eq!(quiet.solve_resolved, busy.solve_resolved);
     assert_eq!(quiet.fit_refits, busy.fit_refits);
-    assert!(digests.windows(2).all(|w| w[0] == w[1]));
+    assert_eq!(quiet.solve_resolved, busy.solve_resolved + 3 * keys);
 }
 
 #[test]
